@@ -48,7 +48,6 @@ module Report = Optrouter_report.Report
 module Lp = Optrouter_ilp.Lp
 module Simplex = Optrouter_ilp.Simplex
 module Milp = Optrouter_ilp.Milp
-module Presolve = Optrouter_ilp.Presolve
 module Lagrangian = Optrouter_lagrangian.Lagrangian
 module Pool = Optrouter_exec.Pool
 module Lp_audit = Optrouter_analysis.Lp_audit
@@ -577,6 +576,11 @@ let section_solver () =
     | Milp.Unbounded -> "unbounded"
     | Milp.Unknown -> "unknown"
   in
+  let status_name = function
+    | Simplex.Optimal -> "optimal"
+    | Simplex.Infeasible -> "infeasible"
+    | Simplex.Unbounded -> "unbounded"
+  in
   let solve_width lp jobs =
     let params =
       Milp.make_params ~max_nodes:500_000 ~time_limit_s:time_limit
@@ -588,9 +592,10 @@ let section_solver () =
      first few applicable rules, each LP prepared once
      (Simplex.Instance.create, timed separately) and root-solved under
      full Dantzig pricing, cold devex, and — for RULEk — devex warm-started
-     from the RULE1 optimal basis remapped by name. Every Optimal result
-     must pass the independent certificate check and match the Dantzig
-     objective; the combined speedup (all-Dantzig vs devex+warm) is the
+     from the RULE1 optimal basis remapped by name. Every finished mode
+     must reach the Dantzig status, and every Optimal result must pass
+     the independent certificate check and match the Dantzig objective;
+     the combined speedup (all-Dantzig vs devex+warm) is the
      headline root_lp number. *)
   let root_lp_study tech clip =
     let wall f =
@@ -670,28 +675,41 @@ let section_solver () =
                skipping RULEk warm-start entries\n"
               tech.Tech.name clip.Clip.c_name
           | _ -> ());
-          (* The reference objective every other mode must reproduce. *)
-          let ref_obj =
-            match dantzig with
-            | Some (_, res, _, _) when res.Simplex.status = Simplex.Optimal ->
-              Some res.Simplex.objective
-            | Some _ | None -> None
+          (* The reference every other finished mode must reproduce: the
+             same status and, between two Optimal roots, the same
+             objective. Non-Optimal objectives are phase-1 values and are
+             never compared. *)
+          let reference =
+            Option.map (fun (_, (res : Simplex.result), _, _) -> res) dantzig
           in
           let modes = List.filter_map Fun.id [ dantzig; devex_cold; devex_warm ] in
           let mode_json (name, (res : Simplex.result), w, verified) =
+            let status = status_name res.Simplex.status in
             let identical =
-              match ref_obj with
-              | Some o when res.Simplex.status = Simplex.Optimal ->
-                Float.abs (res.Simplex.objective -. o) <= 1e-9
-              | Some _ | None -> true
+              match reference with
+              | None -> None
+              | Some ref_res when ref_res.Simplex.status <> res.Simplex.status ->
+                incr mismatches;
+                Printf.printf
+                  "ROOT-LP STATUS MISMATCH: %s %s %s is %s, dantzig is %s\n"
+                  clip.Clip.c_name r.Rules.name name status
+                  (status_name ref_res.Simplex.status);
+                None
+              | Some _ when res.Simplex.status <> Simplex.Optimal -> None
+              | Some ref_res ->
+                let same =
+                  Float.abs (res.Simplex.objective -. ref_res.Simplex.objective)
+                  <= 1e-9
+                in
+                if not same then begin
+                  incr mismatches;
+                  Printf.printf
+                    "ROOT-LP MISMATCH: %s %s %s proved %g, dantzig proved %g\n"
+                    clip.Clip.c_name r.Rules.name name res.Simplex.objective
+                    ref_res.Simplex.objective
+                end;
+                Some same
             in
-            if not identical then begin
-              incr mismatches;
-              Printf.printf
-                "ROOT-LP MISMATCH: %s %s %s proved %g, dantzig proved %g\n"
-                clip.Clip.c_name r.Rules.name name res.Simplex.objective
-                (Option.value ref_obj ~default:Float.nan)
-            end;
             if res.Simplex.status = Simplex.Optimal && not verified then begin
               incr mismatches;
               Printf.printf "ROOT-LP UNVERIFIED: %s %s %s\n" clip.Clip.c_name
@@ -702,6 +720,7 @@ let section_solver () =
                 tech.Tech.name;
                 r.Rules.name;
                 name;
+                status;
                 string_of_int res.Simplex.iterations;
                 string_of_int res.Simplex.bound_flips;
                 (match res.Simplex.warm with
@@ -715,7 +734,8 @@ let section_solver () =
               :: !root_rows;
             ( name,
               Report.Json.Obj
-                [
+                ([
+                  ("status", Report.Json.String status);
                   ("iterations", Report.Json.Int res.Simplex.iterations);
                   ("bound_flips", Report.Json.Int res.Simplex.bound_flips);
                   ( "warm",
@@ -727,8 +747,9 @@ let section_solver () =
                   ("wall_s", Report.Json.Float w);
                   ("objective", Report.Json.Float res.Simplex.objective);
                   ("verified", Report.Json.Bool verified);
-                  ("objective_identical", Report.Json.Bool identical);
-                ] )
+                ]
+                @ Option.fold identical ~none:[] ~some:(fun same ->
+                      [ ("objective_identical", Report.Json.Bool same) ])) )
           in
           let mode_fields = List.map mode_json modes in
           (* Combined-campaign accounting: the old regime prices every
@@ -786,33 +807,6 @@ let section_solver () =
       | None -> Printf.printf "(no clip extracted for %s)\n" tech.Tech.name
       | Some (clip, lp, serial_run) ->
         serial_nodes := serial_run.Milp.nodes :: !serial_nodes;
-        (* Presolve reductions on the benchmark LP: before/after sizes
-           and per-reduction counts, so the JSON tracks how much of the
-           model the substitution/domination passes shed over time. *)
-        let presolve_json =
-          match Presolve.presolve lp with
-          | Presolve.Reduced (_, m) ->
-            let s = Presolve.stats m in
-            Printf.printf
-              "presolve %s: rows %d -> %d, cols %d -> %d (%d singleton \
-               col(s), %d dominated row(s), %d pass(es))\n"
-              clip.Clip.c_name s.Presolve.rows_before s.Presolve.rows_after
-              s.Presolve.cols_before s.Presolve.cols_after
-              s.Presolve.singleton_cols s.Presolve.dominated_rows
-              s.Presolve.passes;
-            Report.Json.Obj
-              [
-                ("rows_before", Report.Json.Int s.Presolve.rows_before);
-                ("rows_after", Report.Json.Int s.Presolve.rows_after);
-                ("cols_before", Report.Json.Int s.Presolve.cols_before);
-                ("cols_after", Report.Json.Int s.Presolve.cols_after);
-                ("singleton_cols", Report.Json.Int s.Presolve.singleton_cols);
-                ("dominated_rows", Report.Json.Int s.Presolve.dominated_rows);
-                ("passes", Report.Json.Int s.Presolve.passes);
-              ]
-          | Presolve.Infeasible why ->
-            Report.Json.Obj [ ("infeasible", Report.Json.String why) ]
-        in
         let serial = ref None in
         let runs =
           List.map
@@ -867,7 +861,6 @@ let section_solver () =
             Report.Json.Obj
               [
                 ("clip", Report.Json.String clip.Clip.c_name);
-                ("presolve", presolve_json);
                 ("runs", Report.Json.List runs);
               ] )
           :: !per_tech;
@@ -915,8 +908,8 @@ let section_solver () =
     (Report.Table.render
        ~header:
          [
-           "tech"; "rule"; "mode"; "iters"; "flips"; "warm"; "wall ms";
-           "objective"; "verified";
+           "tech"; "rule"; "mode"; "status"; "iters"; "flips"; "warm";
+           "wall ms"; "objective"; "verified";
          ]
        (List.rev !root_rows));
   let root_lp_speedup =

@@ -63,8 +63,6 @@ type config = {
   bidirectional : bool;
   milp : Milp.params;
   solve_mode : solve_mode;
-  lagrangian_params : Lagrangian.params;
-  drc_check : bool;
   heuristic_incumbent : bool;
   seed_reuse : bool;
   audit : (rules:Rules.t -> Formulate.t -> unit) option;
@@ -78,8 +76,6 @@ let default_config =
     bidirectional = false;
     milp = Milp.make_params ~max_nodes:20_000 ~time_limit_s:60.0 ();
     solve_mode = Exact;
-    lagrangian_params = Lagrangian.default_params;
-    drc_check = true;
     heuristic_incumbent = true;
     seed_reuse = true;
     audit = None;
@@ -90,8 +86,6 @@ let make_config ?(options = default_config.options)
     ?(single_vias = default_config.single_vias)
     ?(bidirectional = default_config.bidirectional)
     ?(milp = default_config.milp) ?(solve_mode = default_config.solve_mode)
-    ?(lagrangian_params = default_config.lagrangian_params)
-    ?(drc_check = default_config.drc_check)
     ?(heuristic_incumbent = default_config.heuristic_incumbent)
     ?(seed_reuse = default_config.seed_reuse) ?audit () =
   {
@@ -101,8 +95,6 @@ let make_config ?(options = default_config.options)
     bidirectional;
     milp;
     solve_mode;
-    lagrangian_params;
-    drc_check;
     heuristic_incumbent;
     seed_reuse;
     audit;
@@ -113,7 +105,7 @@ let make_config ?(options = default_config.options)
    which routings are feasible or what they cost: formulation options,
    the via-shape menu, single_vias, bidirectional, and the MILP
    integrality tolerance. Deliberately excludes effort-only knobs —
-   time/node limits, solver_jobs, pricing/refactorisation, drc_check,
+   time/node limits, solver_jobs, pricing/refactorisation,
    heuristic_incumbent, seed_reuse, audit — which change how fast a
    proven answer arrives, never the answer itself (only *proven* results
    may be cached under a key built from this). [solve_mode] IS included:
@@ -191,11 +183,8 @@ let fast_path ~rules g (sol : Route.solution) =
    the dual bound and gap in [stats.lagrangian]. *)
 let route_lagrangian ~config ?seed ~rules (g : Graph.t) ~start =
   let params =
-    {
-      config.lagrangian_params with
-      Lagrangian.jobs = config.milp.Milp.solver_jobs;
-      time_limit_s = config.milp.Milp.time_limit_s;
-    }
+    Lagrangian.make_params ~jobs:config.milp.Milp.solver_jobs
+      ~time_limit_s:config.milp.Milp.time_limit_s ()
   in
   let r = Lagrangian.solve ~params ?seed ~rules g in
   let verdict =
@@ -354,7 +343,7 @@ let route_graph ?(config = default_config) ?seed ?warm_basis ~rules
   in
   let decode () =
     let sol = Formulate.decode form milp_result.Milp.x in
-    if config.drc_check then audit ~rules g sol;
+    audit ~rules g sol;
     sol
   in
   let verdict =

@@ -104,14 +104,10 @@ type config = {
   bidirectional : bool;
   milp : Optrouter_ilp.Milp.params;
   solve_mode : solve_mode;
-  lagrangian_params : Optrouter_lagrangian.Lagrangian.params;
-      (** decomposition knobs; [jobs] and [time_limit_s] are overridden
-          at solve time by [milp.solver_jobs] / [milp.time_limit_s] so
-          both modes share one effort budget (and the sweep's
-          [Pool.Budget] width grants apply unchanged) *)
-  drc_check : bool;
-      (** audit optimal solutions with {!Optrouter_grid.Drc} and raise on
-          violation; default [true] — a violation means a formulation bug *)
+      (** [Lagrangian] runs {!Optrouter_lagrangian.Lagrangian.default_params}
+          with [jobs] and [time_limit_s] taken from [milp.solver_jobs] /
+          [milp.time_limit_s], so both modes share one effort budget (and
+          the sweep's [Pool.Budget] width grants apply unchanged) *)
   heuristic_incumbent : bool;
       (** seed branch and bound with a quick {!Optrouter_maze.Maze} routing
           lifted through {!Formulate.encode}; default [true]. Optimality is
@@ -142,8 +138,6 @@ val make_config :
   ?bidirectional:bool ->
   ?milp:Optrouter_ilp.Milp.params ->
   ?solve_mode:solve_mode ->
-  ?lagrangian_params:Optrouter_lagrangian.Lagrangian.params ->
-  ?drc_check:bool ->
   ?heuristic_incumbent:bool ->
   ?seed_reuse:bool ->
   ?audit:(rules:Optrouter_tech.Rules.t -> Formulate.t -> unit) ->
@@ -154,8 +148,8 @@ val make_config :
     {e results} (formulation options, via-shape menu, [single_vias],
     [bidirectional], the MILP integrality tolerance) — the params
     component of content-addressed cache keys. Effort-only knobs
-    (limits, parallel widths, pricing, [drc_check],
-    [heuristic_incumbent], [seed_reuse], [audit]) are deliberately
+    (limits, parallel widths, pricing, [heuristic_incumbent],
+    [seed_reuse], [audit]) are deliberately
     excluded: they change how fast a proven answer arrives, never the
     answer, so configs differing only in effort share cache entries.
     [solve_mode] {e is} included — Lagrangian answers are near-optimal,
@@ -164,6 +158,9 @@ val make_config :
     (see [Optrouter_serve.Cache]). *)
 val config_fingerprint : config -> string
 
+(** Raised when a solution decoded from the ILP fails the independent
+    {!Optrouter_grid.Drc} audit that every decoded solution goes through.
+    A violation means a formulation bug. *)
 exception Drc_failure of string
 
 (** Route a clip under a rule configuration.

@@ -188,30 +188,69 @@ let add_outcome t = function
   | Ok result -> add_result t result
   | Error _ -> { t with solves = t.solves + 1; failures = t.failures + 1 }
 
+let plural n = if n = 1 then "" else "s"
+
 let render_telemetry t =
-  let base =
-    Report.Telemetry.render ~steals:t.steals ~solver_busy_s:t.solver_busy_s
-      ~solver_wall_s:t.solver_wall_s ~peak_workers:t.peak_workers
-      ~root_lp_iters:t.root_lp_iters ~bound_flips:t.bound_flips
-      ~warm_reused:t.warm_reused ~warm_repaired:t.warm_repaired
-      ~solves:t.solves ~fast_path_hits:t.fast_path_hits
-      ~seeded_incumbents:t.seeded_incumbents ~nodes:t.nodes
-      ~simplex_iterations:t.simplex_iterations ~busy_s:t.busy_s ~wall_s:t.wall_s
-      ~limits:t.limits ~infeasible:t.infeasible ~failures:t.failures
-      ~lagrangian_solves:t.lagrangian_solves ~lag_iterations:t.lag_iterations
-      ~lag_busy_s:t.lag_busy_s ~lag_gap_max:t.lag_gap_max
-      ~lag_unrounded:t.lag_unrounded ()
-  in
+  let b = Buffer.create 256 in
+  Printf.bprintf b
+    "solver telemetry: %d solves in %.1f s wall, %.1f s busy (%d B&B nodes, \
+     %d simplex iterations)\n"
+    t.solves t.wall_s t.busy_s t.nodes t.simplex_iterations;
+  Printf.bprintf b
+    "                  %d fast-path hit%s, %d seeded incumbent%s\n"
+    t.fast_path_hits (plural t.fast_path_hits) t.seeded_incumbents
+    (plural t.seeded_incumbents);
+  Printf.bprintf b "                  %d limit, %d infeasible%s\n" t.limits
+    t.infeasible
+    (if t.failures > 0 then Printf.sprintf ", %d failed" t.failures else "");
+  (* Root-LP line only when the solver actually reported root activity:
+     historical three-line output is preserved for fast-path-only runs. *)
+  if t.root_lp_iters > 0 || t.warm_reused > 0 || t.warm_repaired > 0 then
+    Printf.bprintf b
+      "                  root LP: %d iterations, %d bound flip%s, warm basis \
+       %d reused / %d repaired\n"
+      t.root_lp_iters t.bound_flips (plural t.bound_flips) t.warm_reused
+      t.warm_repaired;
+  (* Only solves that actually ran a parallel search earn the extra line;
+     a purely serial sweep keeps its historical three-line form. *)
+  if t.peak_workers > 1 || t.steals > 0 then begin
+    let nodes_per_s =
+      if t.solver_busy_s > 0.0 then float_of_int t.nodes /. t.solver_busy_s
+      else 0.0
+    in
+    (* summed worker busy over (wall x width): 1.0 means every solver
+       worker was busy for the whole of every solve *)
+    let efficiency =
+      if t.solver_wall_s > 0.0 && t.peak_workers > 0 then
+        t.solver_busy_s /. (t.solver_wall_s *. float_of_int t.peak_workers)
+      else 0.0
+    in
+    Printf.bprintf b
+      "                  solver parallelism: peak %d workers, %d steal%s, \
+       %.0f nodes/s, %.2f efficiency\n"
+      t.peak_workers t.steals (plural t.steals) nodes_per_s efficiency
+  end;
+  (* Decomposition line only when some solve ran the Lagrangian path:
+     exact-mode runs keep their historical output byte-for-byte. *)
+  if t.lagrangian_solves > 0 then
+    Printf.bprintf b
+      "                  lagrangian: %d solve%s, %d iteration%s, %.1f s \
+       pricing, max gap %.2f%%%s\n"
+      t.lagrangian_solves (plural t.lagrangian_solves) t.lag_iterations
+      (plural t.lag_iterations) t.lag_busy_s (100.0 *. t.lag_gap_max)
+      (if t.lag_unrounded > 0 then
+         Printf.sprintf ", %d unrounded" t.lag_unrounded
+       else "");
   (* Diagnostics the quiet-by-default Report.Log swallowed during the
      sweep (maze reroute chatter, simplex progress): surface the counts so
      a silent run still shows how much went unreported. *)
-  match Report.Log.counts () with
-  | [] -> base
+  (match Report.Log.counts () with
+  | [] -> ()
   | counts ->
-    base
-    ^ Printf.sprintf "                  suppressed diagnostics: %s\n"
-        (String.concat ", "
-           (List.map (fun (src, n) -> Printf.sprintf "%s=%d" src n) counts))
+    Printf.bprintf b "                  suppressed diagnostics: %s\n"
+      (String.concat ", "
+         (List.map (fun (src, n) -> Printf.sprintf "%s=%d" src n) counts)));
+  Buffer.contents b
 
 (* True sweep wall clock, accumulated separately from the per-solve busy
    sum: under [-j N] the two diverge, and each tells a different story. *)

@@ -120,7 +120,18 @@ val empty_telemetry : telemetry
     own span sum alongside (the bench keeps [sections_wall_s]). *)
 val merge_telemetry : telemetry -> telemetry -> telemetry
 
-(** Render with {!Optrouter_report.Report.Telemetry}. *)
+(** Plain-text summary of a telemetry record. Three lines always: solve
+    count with wall and busy time, B&B nodes and simplex iterations; the
+    fast-path hits and seeded incumbents of the baseline-reuse layer;
+    limits, infeasible solves and failures. Optional lines follow only
+    when they carry something: root-LP iterations, bound flips and warm
+    bases reused / repaired (any root activity); solver parallelism with
+    nodes per busy second and efficiency
+    [solver_busy_s / (solver_wall_s * peak_workers)] (any solve wider
+    than one worker, or any steal); Lagrangian solves, iterations,
+    pricing time, worst gap and unrounded solves (any decomposition
+    solve); and the per-source counts of diagnostics the quiet-by-default
+    {!Optrouter_report.Report.Log} suppressed. *)
 val render_telemetry : telemetry -> string
 
 (** The solver configuration used for baseline solves: [config]

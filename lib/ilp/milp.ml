@@ -22,7 +22,6 @@ type params = {
   max_nodes : int;
   time_limit_s : float option;
   integrality_tol : float;
-  log : bool;
   solver_jobs : int;
   simplex : Simplex.Params.t;
 }
@@ -32,16 +31,15 @@ let default_params =
     max_nodes = 500_000;
     time_limit_s = None;
     integrality_tol = 1e-6;
-    log = false;
     solver_jobs = 1;
     simplex = Simplex.Params.default;
   }
 
 let make_params ?(max_nodes = default_params.max_nodes) ?time_limit_s
     ?(integrality_tol = default_params.integrality_tol)
-    ?(log = default_params.log) ?(solver_jobs = default_params.solver_jobs)
+    ?(solver_jobs = default_params.solver_jobs)
     ?(simplex = default_params.simplex) () =
-  { max_nodes; time_limit_s; integrality_tol; log; solver_jobs; simplex }
+  { max_nodes; time_limit_s; integrality_tol; solver_jobs; simplex }
 
 (* Wall clock for the time budget: CPU time is meaningless as a deadline
    when several solves share the process (domain-parallel sweeps), and
@@ -291,9 +289,7 @@ let record_incumbent sh obj x =
           lower ()
       in
       lower ();
-      if sh.prm.log then
-        Log.info (fun m ->
-            m "node %d: incumbent %.6g" (Atomic.get sh.nodes) obj)
+      Log.debug (fun m -> m "node %d: incumbent %.6g" (Atomic.get sh.nodes) obj)
     end;
     Mutex.unlock sh.imutex
   end
@@ -508,45 +504,7 @@ let worker sh wid () =
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let rec solve ?(params = default_params) ?(presolve = false) ?initial ?cutoff
-    ?root_basis (lp : Lp.t) =
-  if presolve then
-    match Presolve.presolve lp with
-    | Presolve.Infeasible _ ->
-      {
-        outcome = Infeasible;
-        objective = infinity;
-        x = Array.make (Lp.nvars lp) 0.0;
-        nodes = 0;
-        best_bound = infinity;
-        simplex_iterations = 0;
-        root_lp_iters = 0;
-        root_bound_flips = 0;
-        root_warm = `Cold;
-        root_basis = None;
-        workers = max 1 params.solver_jobs;
-        steals = 0;
-        solver_busy_s = 0.0;
-        solver_wall_s = 0.0;
-        dual_btran_saved = 0;
-      }
-    | Presolve.Reduced (lp', m) ->
-      let offset = Presolve.objective_offset m in
-      let initial = Option.map (Presolve.project m) initial in
-      let cutoff = Option.map (fun c -> c -. offset) cutoff in
-      (* A caller-supplied root basis is positional in [lp]'s columns and
-         cannot survive the reduction; drop it rather than misapply it. *)
-      let res = solve ~params ~presolve:false ?initial ?cutoff lp' in
-      {
-        res with
-        objective = res.objective +. offset;
-        best_bound = res.best_bound +. offset;
-        root_basis = None;
-        x = (if Array.length res.x = Lp.nvars lp' then Presolve.restore m res.x else res.x);
-      }
-  else solve_unreduced ~params ?initial ?cutoff ?root_basis lp
-
-and solve_unreduced ~params ?initial ?cutoff ?root_basis (lp : Lp.t) =
+let solve ?(params = default_params) ?initial ?cutoff ?root_basis (lp : Lp.t) =
   let n = Lp.nvars lp in
   let start = now () in
   let integral_obj = objective_is_integral lp in

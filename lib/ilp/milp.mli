@@ -66,7 +66,6 @@ type params = {
           process, where accumulated CPU seconds are meaningless as a
           per-solve deadline. *)
   integrality_tol : float;
-  log : bool;
   solver_jobs : int;
       (** worker domains for the branch-and-bound search itself (1 =
           serial, the default). Independent of the sweep-level pool; see
@@ -99,7 +98,6 @@ val make_params :
   ?max_nodes:int ->
   ?time_limit_s:float ->
   ?integrality_tol:float ->
-  ?log:bool ->
   ?solver_jobs:int ->
   ?simplex:Simplex.Params.t ->
   unit ->
@@ -123,17 +121,14 @@ val make_params :
 
     [root_basis] warm-starts the root-relaxation solve (typically the
     remapped optimal basis of a related LP, via {!Simplex.Basis});
-    [result.root_warm] reports whether it was reused. It is dropped when
-    [presolve] reduces the problem — the positional basis cannot survive
-    the reduction. *)
+    [result.root_warm] reports whether it was reused.
+
+    Each new incumbent is logged at debug level on the [optrouter.milp]
+    log source. *)
 val solve :
   ?params:params ->
-  ?presolve:bool ->
   ?initial:float array ->
   ?cutoff:float ->
   ?root_basis:Simplex.basis ->
   Lp.t ->
   result
-(** [presolve] (default [false]) applies {!Presolve} first and lifts the
-    solution back; initial points and cutoffs are translated into the
-    reduced space automatically. *)

@@ -606,7 +606,7 @@ module Instance = struct
     let scanned = ref 0 and found = ref 0 in
     let j = ref st.cursor in
     if !j >= ncols then j := 0;
-    (* A presolve-emptied LP has no columns at all; the do-while scan below
+    (* An empty LP has no columns at all; the do-while scan below
        tests its exit condition only after touching a column. *)
     let scanning = ref (ncols > 0) in
     while !scanning do

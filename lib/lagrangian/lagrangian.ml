@@ -13,41 +13,22 @@ type params = {
   time_limit_s : float option;
   jobs : int;
   round_every : int;
-  rip_up_rounds : int;
-  gap_target : float;
-  dp_sink_cap : int;
-  vertex_multipliers : bool;
 }
 
 let default_params =
-  {
-    max_iters = 150;
-    time_limit_s = Some 60.0;
-    jobs = 1;
-    round_every = 20;
-    rip_up_rounds = 6;
-    gap_target = 0.0;
-    dp_sink_cap = 8;
-    vertex_multipliers = true;
-  }
+  { max_iters = 150; time_limit_s = Some 60.0; jobs = 1; round_every = 20 }
 
 let make_params ?(max_iters = default_params.max_iters)
     ?(time_limit_s = default_params.time_limit_s) ?(jobs = default_params.jobs)
-    ?(round_every = default_params.round_every)
-    ?(rip_up_rounds = default_params.rip_up_rounds)
-    ?(gap_target = default_params.gap_target)
-    ?(dp_sink_cap = default_params.dp_sink_cap)
-    ?(vertex_multipliers = default_params.vertex_multipliers) () =
-  {
-    max_iters;
-    time_limit_s;
-    jobs;
-    round_every;
-    rip_up_rounds;
-    gap_target;
-    dp_sink_cap;
-    vertex_multipliers;
-  }
+    ?(round_every = default_params.round_every) () =
+  { max_iters; time_limit_s; jobs; round_every }
+
+(* Largest sink count priced exactly by the Steiner DP, whose table grows
+   as 3^sinks; larger nets fall back to a valid single-path lower bound. *)
+let dp_sink_cap = 8
+
+(* Penalise-rip-up repair rounds per rounding attempt. *)
+let rip_up_rounds = 6
 
 type iter_stat = {
   it : int;
@@ -268,7 +249,7 @@ let steiner_heuristic (g : Graph.t) ~allowed ~eprice ~vprice
     Some (lb, tree, false)
   end
 
-let price_net (g : Graph.t) ~dp_sink_cap ~eprice ~vprice k =
+let price_net (g : Graph.t) ~eprice ~vprice k =
   let net = g.Graph.nets.(k) in
   let allowed = allowed_for g k in
   if Array.length net.Graph.sinks = 0 then Some (0.0, [], true)
@@ -491,8 +472,7 @@ let nets_of_violation (sol : Route.solution) st viol =
 (* One deterministic rounding attempt: route every net in [order] under
    multiplier pricing, then penalise-rip-up-reroute until the DRC is
    clean or the round budget runs out. Returns a certified solution. *)
-let try_round (g : Graph.t) ~rules ~order ~bias_e ~bias_v ~rip_up_rounds
-    rip_ups =
+let try_round (g : Graph.t) ~rules ~order ~bias_e ~bias_v rip_ups =
   let nnets = Array.length g.Graph.nets in
   let ngrid =
     g.Graph.clip.Clip.cols * g.Graph.clip.Clip.rows * g.Graph.clip.Clip.layers
@@ -685,10 +665,12 @@ let solve ?(params = default_params) ?seed ~rules (g : Graph.t) =
     let primal_obj () =
       Option.map (fun (s : Route.solution) -> obj_of s.Route.metrics) !best_sol
     in
+    (* The search stops once the lifted dual bound meets the primal
+       objective: the rounded routing is then provably optimal. *)
     let closed () =
       match primal_obj () with
       | None -> false
-      | Some p -> lifted () >= p -. (params.gap_target *. p) -. 1e-9
+      | Some p -> lifted () >= p -. 1e-9
     in
     let attempt_round () =
       attempts := !attempts + 1;
@@ -700,8 +682,7 @@ let solve ?(params = default_params) ?seed ~rules (g : Graph.t) =
           | c -> c)
         order;
       match
-        try_round g ~rules ~order ~bias_e:lambda ~bias_v:mu
-          ~rip_up_rounds:params.rip_up_rounds rip_ups
+        try_round g ~rules ~order ~bias_e:lambda ~bias_v:mu rip_ups
       with
       | None -> ()
       | Some sol -> (
@@ -721,11 +702,10 @@ let solve ?(params = default_params) ?seed ~rules (g : Graph.t) =
         Array.init nedges (fun gid -> cost_f.(gid) +. lambda.(gid))
       in
       let vprice = Array.make g.Graph.nverts 0.0 in
-      if params.vertex_multipliers then Array.blit mu 0 vprice 0 ngrid;
-      let dp_sink_cap = params.dp_sink_cap in
+      Array.blit mu 0 vprice 0 ngrid;
       let price k =
         let s0 = Unix.gettimeofday () in
-        let r = price_net g ~dp_sink_cap ~eprice ~vprice k in
+        let r = price_net g ~eprice ~vprice k in
         (r, Unix.gettimeofday () -. s0)
       in
       let results = Pool.map pool price (List.init nnets Fun.id) in
@@ -759,10 +739,7 @@ let solve ?(params = default_params) ?seed ~rules (g : Graph.t) =
               tree)
         results;
       let sum_l = Array.fold_left ( +. ) 0.0 lambda in
-      let sum_m =
-        if params.vertex_multipliers then Array.fold_left ( +. ) 0.0 mu
-        else 0.0
-      in
+      let sum_m = Array.fold_left ( +. ) 0.0 mu in
       let l = !sum_costs -. sum_l -. sum_m in
       if (not !have_dual) || l > !best_raw +. 1e-9 then begin
         best_raw := (if !have_dual then Float.max l !best_raw else l);
@@ -788,13 +765,12 @@ let solve ?(params = default_params) ?seed ~rules (g : Graph.t) =
             gnorm2 := !gnorm2 +. (gv *. gv)
           end
       done;
-      if params.vertex_multipliers then
-        for v = 0 to ngrid - 1 do
-          if vert_use.(v) > 1 || mu.(v) > 0.0 then begin
-            let gv = float_of_int (vert_use.(v) - 1) in
-            gnorm2 := !gnorm2 +. (gv *. gv)
-          end
-        done;
+      for v = 0 to ngrid - 1 do
+        if vert_use.(v) > 1 || mu.(v) > 0.0 then begin
+          let gv = float_of_int (vert_use.(v) - 1) in
+          gnorm2 := !gnorm2 +. (gv *. gv)
+        end
+      done;
       let ub_est =
         match primal_obj () with
         | Some p -> p
@@ -813,12 +789,10 @@ let solve ?(params = default_params) ?seed ~rules (g : Graph.t) =
               Float.max 0.0
                 (lambda.(gid) +. (step *. float_of_int (edge_use.(gid) - 1)))
         done;
-        if params.vertex_multipliers then
-          for v = 0 to ngrid - 1 do
-            mu.(v) <-
-              Float.max 0.0
-                (mu.(v) +. (step *. float_of_int (vert_use.(v) - 1)))
-          done
+        for v = 0 to ngrid - 1 do
+          mu.(v) <-
+            Float.max 0.0 (mu.(v) +. (step *. float_of_int (vert_use.(v) - 1)))
+        done
       end;
       let mult_norm = sqrt (norm2 lambda +. norm2 mu) in
       iters := !iters + 1;

@@ -21,10 +21,10 @@
 
     Per-net subproblems are solved {e exactly} (node-weighted
     Dreyfus-Wagner dynamic program over terminal subsets; plain Dijkstra
-    for two-terminal nets) whenever the sink count is within
-    [dp_sink_cap]; beyond the cap a valid per-net lower bound (longest
-    source-to-sink shortest path) substitutes, so the dual bound stays
-    valid at any fan-out. Edges are priced in the rules' objective
+    for two-terminal nets) whenever the net has at most eight sinks;
+    beyond that cap a valid per-net lower bound (longest source-to-sink
+    shortest path) substitutes, so the dual bound stays valid at any
+    fan-out. Edges are priced in the rules' objective
     ({!Optrouter_tech.Rules.objective_coeff}), matching the exact
     formulation. When every coefficient is integral (the default
     wirelength objective, via-count, integral via weights) the ILP
@@ -37,28 +37,20 @@
     outcome is byte-identical for any [jobs] (the sweep's determinism
     contract). Primal feasibility comes from deterministic sequential
     rounding: nets are routed one at a time in the multiplier-priced
-    graph with committed-net blocking, repaired by penalise-rip-up
-    rounds, and certified by {!Optrouter_grid.Drc.check}; a final
-    {!Optrouter_maze.Maze} attempt backstops the rounding. Solutions are
-    feasible and DRC-certified but {e not} proven optimal — the gap
-    against {!t.dual_bound} quantifies how far off they can be. *)
+    graph with committed-net blocking, repaired by up to six
+    penalise-rip-up rounds, and certified by
+    {!Optrouter_grid.Drc.check}; a final {!Optrouter_maze.Maze} attempt
+    backstops the rounding. Solutions are feasible and DRC-certified but
+    {e not} proven optimal — the gap against {!t.dual_bound} quantifies
+    how far off they can be. *)
 
 type params = {
-  max_iters : int;  (** sub-gradient iterations (default 150) *)
+  max_iters : int;
+      (** sub-gradient iterations (default 150); the loop stops earlier
+          once the lifted dual bound meets the primal objective *)
   time_limit_s : float option;  (** wall deadline for the whole solve *)
   jobs : int;  (** per-net pricing worker domains (default 1) *)
   round_every : int;  (** rounding-attempt cadence in iterations *)
-  rip_up_rounds : int;  (** repair rounds per rounding attempt *)
-  gap_target : float;
-      (** stop once (primal - dual) / primal <= target (default 0: stop
-          only when the lifted dual bound meets the primal cost) *)
-  dp_sink_cap : int;
-      (** largest sink count priced exactly by the Steiner DP; larger
-          nets fall back to a valid single-path lower bound (default 8) *)
-  vertex_multipliers : bool;
-      (** dualise the vertex-exclusivity rows too (default [true]; turn
-          off when the exact model is built without them, or the bound
-          is no longer comparable) *)
 }
 
 val default_params : params
@@ -68,10 +60,6 @@ val make_params :
   ?time_limit_s:float option ->
   ?jobs:int ->
   ?round_every:int ->
-  ?rip_up_rounds:int ->
-  ?gap_target:float ->
-  ?dp_sink_cap:int ->
-  ?vertex_multipliers:bool ->
   unit ->
   params
 
@@ -101,8 +89,8 @@ type t = {
           the ILP is infeasible by plain graph reachability (the only
           case this mode can prove) *)
   exact_pricing : bool;
-      (** every net stayed within [dp_sink_cap], so each subproblem was
-          priced exactly *)
+      (** every net stayed within the Steiner DP's eight-sink cap, so
+          each subproblem was priced exactly *)
   iterations : int;
   gap : float option;
       (** (primal - dual_bound) / primal in objective units, when a

@@ -114,110 +114,6 @@ module Series = struct
     end
 end
 
-module Telemetry = struct
-  let render ?(steals = 0) ?(solver_busy_s = 0.0) ?(solver_wall_s = 0.0)
-      ?(peak_workers = 1) ?(root_lp_iters = 0) ?(bound_flips = 0)
-      ?(warm_reused = 0) ?(warm_repaired = 0) ?(lagrangian_solves = 0)
-      ?(lag_iterations = 0) ?(lag_busy_s = 0.0) ?(lag_gap_max = 0.0)
-      ?(lag_unrounded = 0) ~solves ~fast_path_hits ~seeded_incumbents ~nodes
-      ~simplex_iterations ~busy_s ~wall_s ~limits ~infeasible ~failures () =
-    let buf = Buffer.create 192 in
-    Buffer.add_string buf
-      (Printf.sprintf
-         "solver telemetry: %d solves in %.1f s wall, %.1f s busy (%d B&B \
-          nodes, %d simplex iterations)\n"
-         solves wall_s busy_s nodes simplex_iterations);
-    Buffer.add_string buf
-      (Printf.sprintf
-         "                  %d fast-path hit%s, %d seeded incumbent%s\n"
-         fast_path_hits
-         (if fast_path_hits = 1 then "" else "s")
-         seeded_incumbents
-         (if seeded_incumbents = 1 then "" else "s"));
-    Buffer.add_string buf
-      (Printf.sprintf "                  %d limit, %d infeasible%s\n" limits
-         infeasible
-         (if failures > 0 then Printf.sprintf ", %d failed" failures else ""));
-    (* Root-LP line only when the solver actually reported root activity:
-       historical three-line output is preserved for fast-path-only runs. *)
-    if root_lp_iters > 0 || warm_reused > 0 || warm_repaired > 0 then
-      Buffer.add_string buf
-        (Printf.sprintf
-           "                  root LP: %d iterations, %d bound flip%s, warm \
-            basis %d reused / %d repaired\n"
-           root_lp_iters bound_flips
-           (if bound_flips = 1 then "" else "s")
-           warm_reused warm_repaired);
-    (* Only solves that actually ran a parallel search earn the extra
-       line; a purely serial sweep keeps its historical three-line form. *)
-    if peak_workers > 1 || steals > 0 then begin
-      let nodes_per_s =
-        if solver_busy_s > 0.0 then float_of_int nodes /. solver_busy_s
-        else 0.0
-      in
-      let efficiency =
-        (* summed worker busy over (wall x width): 1.0 means every solver
-           worker was busy for the whole of every solve *)
-        if solver_wall_s > 0.0 && peak_workers > 0 then
-          solver_busy_s /. (solver_wall_s *. float_of_int peak_workers)
-        else 0.0
-      in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "                  solver parallelism: peak %d workers, %d \
-            steal%s, %.0f nodes/s, %.2f efficiency\n"
-           peak_workers steals
-           (if steals = 1 then "" else "s")
-           nodes_per_s efficiency)
-    end;
-    (* Decomposition line only when some solve ran the Lagrangian path:
-       exact-mode runs keep their historical output byte-for-byte. *)
-    if lagrangian_solves > 0 then
-      Buffer.add_string buf
-        (Printf.sprintf
-           "                  lagrangian: %d solve%s, %d iteration%s, %.1f s \
-            pricing, max gap %.2f%%%s\n"
-           lagrangian_solves
-           (if lagrangian_solves = 1 then "" else "s")
-           lag_iterations
-           (if lag_iterations = 1 then "" else "s")
-           lag_busy_s (100.0 *. lag_gap_max)
-           (if lag_unrounded > 0 then
-              Printf.sprintf ", %d unrounded" lag_unrounded
-            else ""));
-    Buffer.contents buf
-
-  let render_serve ~requests ~mem_hits ~disk_hits ~misses ~evictions ~stores
-      ~disk_errors () =
-    let hits = mem_hits + disk_hits in
-    let looked = hits + misses in
-    let rate =
-      if looked > 0 then float_of_int hits /. float_of_int looked else 0.0
-    in
-    let buf = Buffer.create 128 in
-    Buffer.add_string buf
-      (Printf.sprintf
-         "serve telemetry: %d request%s, cache %d hit%s (%d memory, %d disk) \
-          / %d miss%s (%.0f%% hit rate)\n"
-         requests
-         (if requests = 1 then "" else "s")
-         hits
-         (if hits = 1 then "" else "s")
-         mem_hits disk_hits misses
-         (if misses = 1 then "" else "es")
-         (100.0 *. rate));
-    Buffer.add_string buf
-      (Printf.sprintf "                 %d store%s, %d eviction%s%s\n" stores
-         (if stores = 1 then "" else "s")
-         evictions
-         (if evictions = 1 then "" else "s")
-         (if disk_errors > 0 then
-            Printf.sprintf ", %d disk error%s recovered" disk_errors
-              (if disk_errors = 1 then "" else "s")
-          else ""));
-    Buffer.contents buf
-end
-
 module Json = struct
   type t =
     | Null

@@ -32,77 +32,6 @@ module Series : sig
     string
 end
 
-module Telemetry : sig
-  (** Renders the per-sweep solver telemetry summary the evaluation layer
-      aggregates across (clip, rule) solves. [busy_s] is summed per-solve
-      wall time (aggregate solver work — under domain parallelism it
-      exceeds the elapsed time, which is the point of reporting it);
-      [wall_s] is the sweep's true elapsed wall clock. [fast_path_hits]
-      and [seeded_incumbents] count the solves answered or warm-started by
-      the baseline-reuse layer.
-
-      The optional arguments describe solver-level (inner, branch-and-
-      bound) parallelism and add a fourth line when any solve ran with
-      more than one worker or stole a node: [steals] is the cross-worker
-      frontier steal count, [solver_busy_s]/[solver_wall_s] the summed
-      per-worker busy time and summed solve wall time, [peak_workers] the
-      widest solve. The line reports nodes per busy second and parallel
-      efficiency ([solver_busy_s / (solver_wall_s * peak_workers)]).
-
-      [root_lp_iters]/[bound_flips]/[warm_reused]/[warm_repaired]
-      (defaults 0) describe the root-relaxation solves: when any root
-      activity was reported, an extra line shows the root-LP iteration
-      total, bound-flip count, and how many solves reused or repaired a
-      warm-start basis.
-
-      [lagrangian_solves]/[lag_iterations]/[lag_busy_s]/[lag_gap_max]/
-      [lag_unrounded] (defaults 0) describe decomposition-mode solves:
-      when any ran, an extra line shows the solve and sub-gradient
-      iteration counts, summed per-net pricing time, the worst reported
-      optimality gap (percent) and how many solves failed to round to a
-      feasible routing. *)
-  val render :
-    ?steals:int ->
-    ?solver_busy_s:float ->
-    ?solver_wall_s:float ->
-    ?peak_workers:int ->
-    ?root_lp_iters:int ->
-    ?bound_flips:int ->
-    ?warm_reused:int ->
-    ?warm_repaired:int ->
-    ?lagrangian_solves:int ->
-    ?lag_iterations:int ->
-    ?lag_busy_s:float ->
-    ?lag_gap_max:float ->
-    ?lag_unrounded:int ->
-    solves:int ->
-    fast_path_hits:int ->
-    seeded_incumbents:int ->
-    nodes:int ->
-    simplex_iterations:int ->
-    busy_s:float ->
-    wall_s:float ->
-    limits:int ->
-    infeasible:int ->
-    failures:int ->
-    unit ->
-    string
-
-  (** Renders the serve daemon's cache counters: requests handled, cache
-      hits split memory/disk, misses, the derived hit rate, and the
-      store/eviction/recovered-disk-error churn. *)
-  val render_serve :
-    requests:int ->
-    mem_hits:int ->
-    disk_hits:int ->
-    misses:int ->
-    evictions:int ->
-    stores:int ->
-    disk_errors:int ->
-    unit ->
-    string
-end
-
 module Stats : sig
   (** [percentile p values] is the nearest-rank [p]th percentile (the
       smallest sample value with at least [p]% of the sample at or below

@@ -437,13 +437,35 @@ let one_line msg = String.map (fun c -> if c = '\n' then ' ' else c) msg
 let frame_error msg =
   Printf.sprintf "%s\nerror %s\n%s\n" error_header (one_line msg) end_line
 
+let plural n = if n = 1 then "" else "s"
+
+(* The cache counters as two text lines: requests, hits split memory /
+   disk, misses and hit rate; then the store / eviction churn and any
+   recovered disk errors. *)
+let render_stats ~requests (s : Cache.stats) =
+  let hits = s.Cache.mem_hits + s.Cache.disk_hits in
+  let looked = hits + s.Cache.misses in
+  let rate =
+    if looked > 0 then float_of_int hits /. float_of_int looked else 0.0
+  in
+  Printf.sprintf
+    "serve telemetry: %d request%s, cache %d hit%s (%d memory, %d disk) / %d \
+     miss%s (%.0f%% hit rate)\n"
+    requests (plural requests) hits (plural hits) s.Cache.mem_hits
+    s.Cache.disk_hits s.Cache.misses
+    (if s.Cache.misses = 1 then "" else "es")
+    (100.0 *. rate)
+  ^ Printf.sprintf "                 %d store%s, %d eviction%s%s\n"
+      s.Cache.stores (plural s.Cache.stores) s.Cache.evictions
+      (plural s.Cache.evictions)
+      (if s.Cache.disk_errors > 0 then
+         Printf.sprintf ", %d disk error%s recovered" s.Cache.disk_errors
+           (plural s.Cache.disk_errors)
+       else "")
+
 let frame_stats t =
-  let s = Cache.stats t.cache in
   Printf.sprintf "%s\ncache stats\nelapsed 0.000000\n%s%s\n" response_header
-    (Report.Telemetry.render_serve ~requests:t.served
-       ~mem_hits:s.Cache.mem_hits ~disk_hits:s.Cache.disk_hits
-       ~misses:s.Cache.misses ~evictions:s.Cache.evictions
-       ~stores:s.Cache.stores ~disk_errors:s.Cache.disk_errors ())
+    (render_stats ~requests:t.served (Cache.stats t.cache))
     end_line
 
 let parse_response frame =

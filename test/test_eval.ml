@@ -527,11 +527,20 @@ let contains_substring hay needle =
   go 0
 
 let test_telemetry_root_lp_line () =
-  let render ?root_lp_iters ?warm_reused () =
-    Report.Telemetry.render ?root_lp_iters ~bound_flips:3 ?warm_reused
-      ~warm_repaired:1 ~solves:4 ~fast_path_hits:0 ~seeded_incumbents:0
-      ~nodes:4 ~simplex_iterations:20 ~busy_s:0.1 ~wall_s:0.1 ~limits:0
-      ~infeasible:0 ~failures:0 ()
+  let render ?(root_lp_iters = 0) ?(warm_reused = 0) () =
+    Sweep.render_telemetry
+      {
+        Sweep.empty_telemetry with
+        Sweep.root_lp_iters;
+        bound_flips = 3;
+        warm_reused;
+        warm_repaired = 1;
+        solves = 4;
+        nodes = 4;
+        simplex_iterations = 20;
+        busy_s = 0.1;
+        wall_s = 0.1;
+      }
   in
   let s = render ~root_lp_iters:12 ~warm_reused:2 () in
   Alcotest.(check bool) "root-LP line present" true
@@ -539,16 +548,68 @@ let test_telemetry_root_lp_line () =
        "root LP: 12 iterations, 3 bound flips, warm basis 2 reused / 1 \
         repaired");
   (* warm_repaired alone still earns the line; zero root activity does not
-     (bound_flips defaulted to 3 above is only reported alongside). *)
+     (bound_flips set to 3 above is only reported alongside). *)
   Alcotest.(check bool) "repaired-only earns the line" true
     (contains_substring (render ()) "repaired");
   let quiet =
-    Report.Telemetry.render ~solves:1 ~fast_path_hits:1 ~seeded_incumbents:0
-      ~nodes:0 ~simplex_iterations:0 ~busy_s:0.0 ~wall_s:0.0 ~limits:0
-      ~infeasible:0 ~failures:0 ()
+    Sweep.render_telemetry
+      { Sweep.empty_telemetry with Sweep.solves = 1; fast_path_hits = 1 }
   in
   Alcotest.(check bool) "fast-path-only run keeps the historical form" false
     (contains_substring quiet "root LP")
+
+(* Byte-for-byte pin of a record that earns every line the renderer has
+   (three fixed, root LP, parallelism, Lagrangian). Only the trailing
+   suppressed-diagnostics line depends on global log counters, so the
+   pin covers everything before it. *)
+let test_telemetry_golden () =
+  let t =
+    {
+      Sweep.empty_telemetry with
+      Sweep.solves = 12;
+      fast_path_hits = 3;
+      seeded_incumbents = 1;
+      nodes = 41;
+      simplex_iterations = 2345;
+      root_lp_iters = 1500;
+      bound_flips = 7;
+      warm_reused = 4;
+      warm_repaired = 1;
+      busy_s = 12.34;
+      wall_s = 6.5;
+      limits = 2;
+      infeasible = 1;
+      failures = 1;
+      steals = 3;
+      solver_busy_s = 8.4;
+      solver_wall_s = 5.0;
+      peak_workers = 2;
+      lagrangian_solves = 2;
+      lag_iterations = 80;
+      lag_busy_s = 1.74;
+      lag_gap_max = 0.125;
+      lag_unrounded = 1;
+    }
+  in
+  let golden =
+    "solver telemetry: 12 solves in 6.5 s wall, 12.3 s busy (41 B&B nodes, \
+     2345 simplex iterations)\n\
+    \                  3 fast-path hits, 1 seeded incumbent\n\
+    \                  2 limit, 1 infeasible, 1 failed\n\
+    \                  root LP: 1500 iterations, 7 bound flips, warm basis 4 \
+     reused / 1 repaired\n\
+    \                  solver parallelism: peak 2 workers, 3 steals, 5 \
+     nodes/s, 0.84 efficiency\n\
+    \                  lagrangian: 2 solves, 80 iterations, 1.7 s pricing, \
+     max gap 12.50%, 1 unrounded\n"
+  in
+  let s = Sweep.render_telemetry t in
+  let n = String.length golden in
+  Alcotest.(check string) "rendered lines" golden
+    (String.sub s 0 (min n (String.length s)));
+  let rest = String.sub s n (String.length s - n) in
+  Alcotest.(check bool) "only the diagnostics line may follow" true
+    (rest = "" || contains_substring rest "suppressed diagnostics: ")
 
 (* ------------------------------------------------------------------ *)
 (* Render                                                              *)
@@ -624,6 +685,8 @@ let () =
           Alcotest.test_case "csv" `Quick test_csv;
           Alcotest.test_case "telemetry root-LP line" `Quick
             test_telemetry_root_lp_line;
+          Alcotest.test_case "telemetry golden text" `Quick
+            test_telemetry_golden;
         ] );
       ("render", [ Alcotest.test_case "solution ascii" `Quick test_render_solution ]);
     ]

@@ -626,24 +626,20 @@ let random_clip_gen =
   let* cols = int_range 2 8 in
   let* rows = int_range 2 8 in
   let* layers = int_range 1 4 in
-  let* nnets = int_range 1 3 in
+  (* Every net takes two of the cols * rows positions for itself: nets
+     sharing an access point make an invalid clip (a 2x2 grid holds two
+     nets, not three). *)
+  let* nnets = int_range 1 (min 3 (cols * rows / 2)) in
   let* positions =
     shuffle_l
       (List.concat_map (fun x -> List.init rows (fun y -> (x, y))) (List.init cols Fun.id))
   in
-  let rec take n = function
-    | [] -> []
-    | _ when n = 0 -> []
-    | p :: rest -> p :: take (n - 1) rest
+  let rec nets k = function
+    | p1 :: p2 :: rest when k < nnets ->
+      two_pin (Printf.sprintf "n%d" k) p1 p2 :: nets (k + 1) rest
+    | _ -> []
   in
-  let pts = take (2 * nnets) positions in
-  let nets =
-    List.init nnets (fun k ->
-        match (List.nth_opt pts (2 * k), List.nth_opt pts ((2 * k) + 1)) with
-        | Some p1, Some p2 -> two_pin (Printf.sprintf "n%d" k) p1 p2
-        | _ -> two_pin (Printf.sprintf "n%d" k) (0, 0) (cols - 1, rows - 1))
-  in
-  return (Clip.make ~cols ~rows ~layers nets)
+  return (Clip.make ~cols ~rows ~layers (nets 0 positions))
 
 let prop_clipfile_roundtrip =
   QCheck.Test.make ~name:"clip file round-trips arbitrary clips" ~count:100

@@ -7,7 +7,6 @@ module Simplex = Optrouter_ilp.Simplex
 module Dense = Optrouter_ilp.Dense_simplex
 module Milp = Optrouter_ilp.Milp
 module Lp_file = Optrouter_ilp.Lp_file
-module Presolve = Optrouter_ilp.Presolve
 
 let check_float = Alcotest.(check (float 1e-6))
 
@@ -270,6 +269,18 @@ let test_simplex_fixed_variable () =
   check_float "x pinned" 2.0 res.x.(0);
   check_float "objective" 13.0 res.objective
 
+let test_simplex_empty_lp () =
+  (* No columns at all: the devex scan must not touch a column, and the
+     branch and bound above it must prove the empty point optimal. *)
+  let lp = Lp.Builder.finish (Lp.Builder.create ()) in
+  let res = Simplex.solve lp in
+  Alcotest.(check bool) "LP optimal" true (res.status = Simplex.Optimal);
+  check_float "LP objective" 0.0 res.objective;
+  let m = Milp.solve lp in
+  Alcotest.(check bool) "MILP proved optimal" true
+    (m.outcome = Milp.Proved_optimal);
+  check_float "MILP objective" 0.0 m.objective
+
 (* ------------------------------------------------------------------ *)
 (* Property-based: random LPs vs the dense oracle                      *)
 (* ------------------------------------------------------------------ *)
@@ -425,6 +436,13 @@ let test_milp_integrality_gap_only_in_lp () =
   Alcotest.(check bool) "LP feasible" true (relax.status = Simplex.Optimal);
   let res = Milp.solve lp in
   Alcotest.(check bool) "MILP infeasible" true (res.outcome = Milp.Infeasible)
+
+let test_milp_fixed_integer () =
+  let lp = build [ ("n", 2.0, 2.0, 3.0, Lp.Integer) ] [] in
+  let res = Milp.solve lp in
+  Alcotest.(check bool) "optimal" true (res.outcome = Milp.Proved_optimal);
+  check_float "objective" 6.0 res.objective;
+  Alcotest.(check (array (float 1e-6))) "x" [| 2.0 |] res.x
 
 let test_milp_mixed () =
   (* Integer count + continuous remainder. min 5n + r s.t. 3n + r = 7,
@@ -735,195 +753,6 @@ let test_corpus_known_optima () =
                 (res.outcome = Milp.Infeasible))
           [ 1; 2; 4 ])
     corpus
-
-(* ------------------------------------------------------------------ *)
-(* Presolve                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let test_presolve_fixed_variable () =
-  let lp =
-    build
-      [ cont "fixed" 2.0 2.0 3.0; cont "x" 0.0 10.0 1.0 ]
-      [ ("r", [ (0, 1.0); (1, 1.0) ], Lp.Ge, 5.0) ]
-  in
-  match Presolve.presolve lp with
-  | Presolve.Infeasible m -> Alcotest.fail m
-  | Presolve.Reduced (lp', m) ->
-    Alcotest.(check int) "one variable left" 1 (Lp.nvars lp');
-    check_float "offset is fixed cost" 6.0 (Presolve.objective_offset m);
-    (* row rhs absorbed the fixed value: x >= 3 became a bound, so the
-       singleton row is gone too *)
-    Alcotest.(check int) "rows removed" 1 (snd (Presolve.removed m));
-    let res = Simplex.solve lp' in
-    let x = Presolve.restore m res.x in
-    check_float "fixed value restored" 2.0 x.(0);
-    check_float "same optimum as unreduced" (Simplex.solve lp).objective
-      (res.objective +. Presolve.objective_offset m)
-
-let test_presolve_singleton_rows () =
-  let lp =
-    build
-      [ cont "x" 0.0 10.0 (-1.0) ]
-      [
-        ("ub", [ (0, 2.0) ], Lp.Le, 8.0);
-        (* 2x <= 8 -> x <= 4 *)
-        ("lb", [ (0, -1.0) ], Lp.Le, -1.0);
-        (* -x <= -1 -> x >= 1 *)
-      ]
-  in
-  match Presolve.presolve lp with
-  | Presolve.Infeasible m -> Alcotest.fail m
-  | Presolve.Reduced (lp', _) ->
-    Alcotest.(check int) "rows gone" 0 (Lp.nrows lp');
-    let v = lp'.Lp.vars.(0) in
-    check_float "upper tightened" 4.0 v.Lp.upper;
-    check_float "lower tightened" 1.0 v.Lp.lower
-
-let test_presolve_integer_rounding () =
-  let lp =
-    build
-      [ ("n", 0.0, 10.0, 1.0, Lp.Integer) ]
-      [ ("r", [ (0, 2.0) ], Lp.Le, 7.0) ]
-  in
-  match Presolve.presolve lp with
-  | Presolve.Infeasible m -> Alcotest.fail m
-  | Presolve.Reduced (lp', _) ->
-    (* 2n <= 7 -> n <= 3.5 -> n <= 3 *)
-    check_float "rounded inward" 3.0 lp'.Lp.vars.(0).Lp.upper
-
-let test_presolve_detects_infeasible () =
-  let empty_domain =
-    build [ cont "x" 0.0 1.0 0.0 ] [ ("r", [ (0, 1.0) ], Lp.Ge, 2.0) ]
-  in
-  (match Presolve.presolve empty_domain with
-  | Presolve.Infeasible _ -> ()
-  | Presolve.Reduced _ -> Alcotest.fail "expected infeasible (bounds)");
-  let empty_row =
-    build [ cont "x" 1.0 1.0 0.0 ] [ ("r", [ (0, 1.0) ], Lp.Ge, 2.0) ]
-  in
-  match Presolve.presolve empty_row with
-  | Presolve.Infeasible _ -> ()
-  | Presolve.Reduced _ -> Alcotest.fail "expected infeasible (row)"
-
-let test_presolve_singleton_column () =
-  (* y is free, continuous and appears only in the equality row: presolve
-     substitutes y = 3 - x, folding its cost into x and a constant. *)
-  let lp =
-    build
-      [ cont "y" neg_infinity infinity 2.0; cont "x" 0.0 10.0 (-1.0) ]
-      [ ("eq", [ (0, 1.0); (1, 1.0) ], Lp.Eq, 3.0) ]
-  in
-  match Presolve.presolve lp with
-  | Presolve.Infeasible m -> Alcotest.fail m
-  | Presolve.Reduced (lp', m) ->
-    let s = Presolve.stats m in
-    Alcotest.(check int) "cols before" 2 s.Presolve.cols_before;
-    Alcotest.(check int) "cols after" 1 s.Presolve.cols_after;
-    Alcotest.(check int) "one substitution" 1 s.Presolve.singleton_cols;
-    Alcotest.(check int) "rows before" 1 s.Presolve.rows_before;
-    Alcotest.(check int) "rows after" 0 s.Presolve.rows_after;
-    (* objective folded: 2y - x = 2(3 - x) - x = 6 - 3x *)
-    check_float "folded objective" (-3.0) lp'.Lp.vars.(0).Lp.obj;
-    check_float "constant part" 6.0 (Presolve.objective_offset m);
-    let res = Simplex.solve lp' in
-    let x = Presolve.restore m res.x in
-    check_float "x at its bound" 10.0 x.(1);
-    check_float "y recomputed from the row" (-7.0) x.(0);
-    check_float "same optimum as unreduced" (Simplex.solve lp).objective
-      (res.objective +. Presolve.objective_offset m)
-
-let test_presolve_dominated_rows () =
-  let lp =
-    build
-      [ cont "x" 0.0 1.0 1.0; cont "y" 0.0 1.0 1.0 ]
-      [
-        (* max activity 2 <= 3: can never bind *)
-        ("slack", [ (0, 1.0); (1, 1.0) ], Lp.Le, 3.0);
-        ("bind", [ (0, 1.0); (1, 1.0) ], Lp.Ge, 1.0);
-        (* same normalised lhs and rhs as [bind]: a duplicate *)
-        ("dup", [ (0, 2.0); (1, 2.0) ], Lp.Ge, 2.0);
-      ]
-  in
-  match Presolve.presolve lp with
-  | Presolve.Infeasible m -> Alcotest.fail m
-  | Presolve.Reduced (lp', m) ->
-    let s = Presolve.stats m in
-    Alcotest.(check int) "rows before" 3 s.Presolve.rows_before;
-    Alcotest.(check int) "rows after" 1 s.Presolve.rows_after;
-    Alcotest.(check int) "two dominated rows" 2 s.Presolve.dominated_rows;
-    Alcotest.(check int) "binding row survives" 1 (Lp.nrows lp');
-    check_float "same optimum as unreduced" (Simplex.solve lp).objective
-      ((Simplex.solve lp').objective +. Presolve.objective_offset m)
-
-let test_presolve_duplicate_eq_infeasible () =
-  (* Two equalities with the same normalised lhs forcing different
-     values have no solution. *)
-  let lp =
-    build
-      [ cont "x" 0.0 10.0 1.0; cont "y" 0.0 10.0 1.0 ]
-      [
-        ("eq1", [ (0, 1.0); (1, 1.0) ], Lp.Eq, 1.0);
-        ("eq2", [ (0, 2.0); (1, 2.0) ], Lp.Eq, 4.0);
-      ]
-  in
-  match Presolve.presolve lp with
-  | Presolve.Infeasible _ -> ()
-  | Presolve.Reduced _ -> Alcotest.fail "expected infeasible (duplicate eq)"
-
-let test_milp_with_presolve () =
-  (* A fixed variable plus a singleton row: presolve shrinks the problem,
-     and the MILP answer (including the lifted point) is unchanged. *)
-  let lp =
-    build
-      [
-        ("fixed", 1.0, 1.0, 2.0, Lp.Integer);
-        bin "a" (-10.0);
-        bin "b" (-6.0);
-      ]
-      [
-        ("cap", [ (0, 1.0); (1, 1.0); (2, 1.0) ], Lp.Le, 2.0);
-        ("single", [ (1, 1.0) ], Lp.Le, 1.0);
-      ]
-  in
-  let plain = Milp.solve lp in
-  let reduced = Milp.solve ~presolve:true lp in
-  Alcotest.(check bool) "both optimal" true
-    (plain.outcome = Milp.Proved_optimal && reduced.outcome = Milp.Proved_optimal);
-  check_float "same objective" plain.objective reduced.objective;
-  check_float "fixed variable restored" 1.0 reduced.x.(0);
-  Alcotest.(check bool) "lifted point feasible" true (Lp.is_feasible lp reduced.x)
-
-let prop_milp_presolve_agrees =
-  QCheck.Test.make ~name:"milp with presolve matches milp without" ~count:100
-    (QCheck.make ~print:(Format.asprintf "%a" Lp.pp) random_binary_milp_gen)
-    (fun lp ->
-      let plain = Milp.solve lp in
-      let reduced = Milp.solve ~presolve:true lp in
-      match (plain.outcome, reduced.outcome) with
-      | Milp.Proved_optimal, Milp.Proved_optimal ->
-        Float.abs (plain.objective -. reduced.objective) <= 1e-6
-        && Lp.is_feasible lp reduced.x
-      | Milp.Infeasible, Milp.Infeasible -> true
-      | _, _ -> false)
-
-let prop_presolve_preserves_optimum =
-  QCheck.Test.make ~name:"presolve preserves the LP optimum" ~count:300
-    arbitrary_lp (fun lp ->
-      let direct = Simplex.solve lp in
-      match Presolve.presolve lp with
-      | Presolve.Infeasible _ -> direct.status = Simplex.Infeasible
-      | Presolve.Reduced (lp', m) -> (
-        let reduced = Simplex.solve lp' in
-        match (direct.status, reduced.status) with
-        | Simplex.Optimal, Simplex.Optimal ->
-          Float.abs
-            (direct.objective
-            -. (reduced.objective +. Presolve.objective_offset m))
-          <= 1e-5
-          && Lp.is_feasible lp (Presolve.restore m reduced.x)
-        | Simplex.Infeasible, Simplex.Infeasible -> true
-        | Simplex.Unbounded, Simplex.Unbounded -> true
-        | _, _ -> false))
 
 (* ------------------------------------------------------------------ *)
 (* LP file writer                                                      *)
@@ -1362,6 +1191,7 @@ let () =
             test_simplex_warm_start_changed_bounds;
           Alcotest.test_case ">= rows" `Quick test_simplex_ge_rows;
           Alcotest.test_case "fixed variable" `Quick test_simplex_fixed_variable;
+          Alcotest.test_case "empty LP" `Quick test_simplex_empty_lp;
         ] );
       ( "simplex-extra",
         [
@@ -1406,6 +1236,7 @@ let () =
           Alcotest.test_case "infeasible" `Quick test_milp_infeasible;
           Alcotest.test_case "fractional equality" `Quick
             test_milp_integrality_gap_only_in_lp;
+          Alcotest.test_case "lone fixed integer" `Quick test_milp_fixed_integer;
           Alcotest.test_case "mixed integer/continuous" `Quick test_milp_mixed;
           Alcotest.test_case "most_fractional basics" `Quick
             test_most_fractional_basic;
@@ -1437,26 +1268,6 @@ let () =
         [
           Alcotest.test_case "fixture MILPs prove known optima at widths 1/2/4"
             `Quick test_corpus_known_optima;
-        ] );
-      ( "presolve",
-        [
-          Alcotest.test_case "fixed variables eliminated" `Quick
-            test_presolve_fixed_variable;
-          Alcotest.test_case "singleton rows become bounds" `Quick
-            test_presolve_singleton_rows;
-          Alcotest.test_case "integer bound rounding" `Quick
-            test_presolve_integer_rounding;
-          Alcotest.test_case "detects infeasibility" `Quick
-            test_presolve_detects_infeasible;
-          Alcotest.test_case "singleton columns substituted" `Quick
-            test_presolve_singleton_column;
-          Alcotest.test_case "dominated and duplicate rows dropped" `Quick
-            test_presolve_dominated_rows;
-          Alcotest.test_case "conflicting duplicate equalities" `Quick
-            test_presolve_duplicate_eq_infeasible;
-          qtest prop_presolve_preserves_optimum;
-          Alcotest.test_case "milp with presolve" `Quick test_milp_with_presolve;
-          qtest prop_milp_presolve_agrees;
         ] );
       ( "lp-file",
         [

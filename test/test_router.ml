@@ -723,7 +723,7 @@ let arbitrary_clip =
   QCheck.make ~print:(Format.asprintf "%a" Clip.pp) random_clip_gen
 
 (* OptRouter solutions pass the independent DRC under the rule they were
-   routed with (drc_check in the driver would raise; we re-check RULE6 and
+   routed with (the driver's DRC audit would raise; we re-check RULE6 and
    RULE3 solutions explicitly to exercise the rule-specific paths). *)
 let prop_optimal_is_drc_clean =
   QCheck.Test.make ~name:"optimal routes are DRC-clean under their rules"

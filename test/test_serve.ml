@@ -539,13 +539,15 @@ let test_daemon_end_to_end () =
       (match s2 with Some s -> Serve.status_line s | None -> "none")
   | Error e, _ | _, Error e -> Alcotest.fail e);
   let stats = Serve.roundtrip fd (Serve.stats_line ^ "\n") in
-  Alcotest.(check bool) "stats frame mentions telemetry" true
-    (let has sub =
-       let ls = String.length stats and l = String.length sub in
-       let rec go i = i + l <= ls && (String.sub stats i l = sub || go (i + 1)) in
-       go 0
-     in
-     has "serve telemetry");
+  Alcotest.(check string) "stats frame"
+    "optrouter-response v1\n\
+     cache stats\n\
+     elapsed 0.000000\n\
+     serve telemetry: 2 requests, cache 1 hit (1 memory, 0 disk) / 1 miss \
+     (50% hit rate)\n\
+    \                 1 store, 0 evictions\n\
+     endresponse\n"
+    stats;
   let bye = Serve.roundtrip fd (Serve.shutdown_line ^ "\n") in
   Alcotest.(check bool) "daemon says bye" true
     (String.length bye >= 13 && String.sub bye 0 13 = "optrouter-bye");
