@@ -1155,15 +1155,18 @@ let section_lagrangian () =
       "speedup_vs_serial at 4 pricing workers is the headline number; \
        solutions are byte-identical across widths by construction."
     in
-    if cores < 4 then
+    let widest = List.fold_left max 1 widths in
+    if cores = 1 then
       Printf.sprintf
-        "Host exposes %d core(s): the %d pricing domains time-slice one \
-         core, so no wall-clock speedup is measurable here — the width \
-         series verifies the determinism contract and bounds the fan-out \
-         overhead. %s"
-        cores
-        (List.fold_left max 1 widths)
-        base
+        "Host exposes 1 core: the %d pricing domains time-slice it, so no \
+         wall-clock speedup is measurable here — the width series verifies \
+         the determinism contract and bounds the fan-out overhead. %s"
+        widest base
+    else if cores < widest then
+      Printf.sprintf
+        "Host exposes %d cores: the %d pricing domains time-slice them, so \
+         the speedup is capped at %dx. %s"
+        cores widest cores base
     else base
   in
   Printf.printf "note: %s\n" note;

@@ -101,15 +101,29 @@ let reachable (g : Graph.t) =
    holds the initial labels (infinity elsewhere), [pred] records the
    arrival edge of every improved vertex. The vertex price of a label's
    own vertex is already included in the label; relaxing u -> v pays
-   [eprice] of the edge plus [vprice.(v)]. *)
-let dijkstra (g : Graph.t) ~allowed ~eprice ~(vprice : float array) dist pred =
-  let q = Pqueue.create () in
+   [eprice] of the edge plus [vprice.(v)]. [q] is the caller's queue,
+   emptied first.
+
+   The search stops as soon as [stop] is popped with its final label
+   ([stop = -1] settles every reachable vertex). That truncation is
+   exact for [stop] and for every vertex on its arrival path: those are
+   all settled by then, and since every price is non-negative and
+   relaxation needs a strict [<], no later step could have changed a
+   settled vertex's label or arrival edge. *)
+let dijkstra (g : Graph.t) q ~allowed ~eprice ~(vprice : float array) ~stop
+    dist pred =
+  Pqueue.clear q;
   Array.iteri (fun v d -> if d < infinity then Pqueue.push q d v) dist;
-  while not (Pqueue.is_empty q) do
-    let d, v = Pqueue.pop q in
+  let settled_stop = ref false in
+  while (not !settled_stop) && not (Pqueue.is_empty q) do
+    let d = Pqueue.min_key q in
+    let v = Pqueue.pop q in
     if d <= dist.(v) then
-      Array.iter
-        (fun (gid, other) ->
+      if v = stop then settled_stop := true
+      else begin
+        let adj = g.Graph.adj.(v) in
+        for i = 0 to Array.length adj - 1 do
+          let gid, other = adj.(i) in
           if allowed gid then begin
             let nd = d +. eprice.(gid) +. vprice.(other) in
             if nd < dist.(other) then begin
@@ -117,8 +131,9 @@ let dijkstra (g : Graph.t) ~allowed ~eprice ~(vprice : float array) dist pred =
               pred.(other) <- gid;
               Pqueue.push q nd other
             end
-          end)
-        g.Graph.adj.(v)
+          end
+        done
+      end
   done
 
 (* Exact node-weighted Steiner tree over the net's allowed edges:
@@ -126,7 +141,12 @@ let dijkstra (g : Graph.t) ~allowed ~eprice ~(vprice : float array) dist pred =
    the cheapest tree spanning the sinks in [mask] plus [v], vertex
    prices counted once per tree vertex. Arrival bookkeeping: [via] >= 0
    means "came over that edge within the same mask", otherwise
-   [sub_of] > 0 names the merged submask (0 = a singleton root). *)
+   [sub_of] > 0 names the merged submask (0 = a singleton root).
+
+   The price and the tree read only the full mask's label at the source
+   and the arrival path behind it, so the full mask's Dijkstra stops once
+   the source settles. For a one-sink net that is its only Dijkstra; the
+   smaller masks are read at every vertex by the merges and run in full. *)
 let steiner_exact (g : Graph.t) ~allowed ~eprice ~vprice
     (net : Graph.net_ctx) =
   let n = g.Graph.nverts in
@@ -135,11 +155,13 @@ let steiner_exact (g : Graph.t) ~allowed ~eprice ~vprice
   let dp = Array.init (full + 1) (fun _ -> Array.make n infinity) in
   let via = Array.init (full + 1) (fun _ -> Array.make n (-1)) in
   let sub_of = Array.init (full + 1) (fun _ -> Array.make n 0) in
+  let q = Pqueue.create () in
+  let stop mask = if mask = full then net.Graph.source else -1 in
   for i = 0 to s - 1 do
     let m = 1 lsl i in
     let dm = dp.(m) in
     dm.(net.Graph.sinks.(i)) <- vprice.(net.Graph.sinks.(i));
-    dijkstra g ~allowed ~eprice ~vprice dm via.(m)
+    dijkstra g q ~allowed ~eprice ~vprice ~stop:(stop m) dm via.(m)
   done;
   for mask = 1 to full do
     if mask land (mask - 1) <> 0 then begin
@@ -163,7 +185,7 @@ let steiner_exact (g : Graph.t) ~allowed ~eprice ~vprice
           done;
         sub := (!sub - 1) land mask
       done;
-      dijkstra g ~allowed ~eprice ~vprice d vm
+      dijkstra g q ~allowed ~eprice ~vprice ~stop:(stop mask) d vm
     end
   done;
   let cost = dp.(full).(net.Graph.source) in
@@ -199,8 +221,9 @@ let steiner_heuristic (g : Graph.t) ~allowed ~eprice ~vprice
   let n = g.Graph.nverts in
   let dist = Array.make n infinity in
   let pred = Array.make n (-1) in
+  let q = Pqueue.create () in
   dist.(net.Graph.source) <- vprice.(net.Graph.source);
-  dijkstra g ~allowed ~eprice ~vprice dist pred;
+  dijkstra g q ~allowed ~eprice ~vprice ~stop:(-1) dist pred;
   let lb =
     Array.fold_left
       (fun acc sv -> Float.max acc dist.(sv))
@@ -217,7 +240,7 @@ let steiner_heuristic (g : Graph.t) ~allowed ~eprice ~vprice
       let d2 = Array.make n infinity in
       let p2 = Array.make n (-1) in
       Array.iteri (fun v t -> if t then d2.(v) <- 0.0) in_tree;
-      dijkstra g ~allowed ~eprice ~vprice d2 p2;
+      dijkstra g q ~allowed ~eprice ~vprice ~stop:(-1) d2 p2;
       let bestv = ref (-1) in
       let bestd = ref infinity in
       List.iter
@@ -351,7 +374,8 @@ let rsearch st k sources targets =
   let found = ref None in
   (try
      while not (Pqueue.is_empty q) do
-       let d, v = Pqueue.pop q in
+       let d = Pqueue.min_key q in
+       let v = Pqueue.pop q in
        if d <= dist.(v) then begin
          if Hashtbl.mem target_set v then begin
            found := Some v;

@@ -24,7 +24,14 @@
     for two-terminal nets) whenever the net has at most eight sinks;
     beyond that cap a valid per-net lower bound (longest source-to-sink
     shortest path) substitutes, so the dual bound stays valid at any
-    fan-out. Edges are priced in the rules' objective
+    fan-out. The price and the tree read only the full sink set's label
+    at the net's source and its arrival path, so the two-terminal
+    Dijkstra and the DP's last (full-mask) Dijkstra stop as soon as the
+    source settles. This is exact, not a heuristic: every price is
+    non-negative and relaxation needs a strict improvement, so every
+    vertex settled by then (the source's arrival path included) already
+    holds its final label and arrival edge, exactly as a full run would
+    leave it. Edges are priced in the rules' objective
     ({!Optrouter_tech.Rules.objective_coeff}), matching the exact
     formulation. When every coefficient is integral (the default
     wirelength objective, via-count, integral via weights) the ILP

@@ -113,7 +113,8 @@ let search st k sources targets =
   let found = ref None in
   (try
      while not (Pqueue.is_empty q) do
-       let d, v = Pqueue.pop q in
+       let d = Pqueue.min_key q in
+       let v = Pqueue.pop q in
        if d <= dist.(v) then begin
          if Hashtbl.mem target_set v then begin
            found := Some v;

@@ -1,12 +1,13 @@
-type 'a t = {
+type t = {
   mutable keys : float array;
-  mutable vals : 'a option array;
+  mutable vals : int array;
   mutable size : int;
 }
 
-let create () = { keys = Array.make 16 0.0; vals = Array.make 16 None; size = 0 }
+let create () = { keys = Array.make 16 0.0; vals = Array.make 16 0; size = 0 }
 let is_empty q = q.size = 0
 let length q = q.size
+let clear q = q.size <- 0
 
 let swap q i j =
   let tk = q.keys.(i) and tv = q.vals.(i) in
@@ -37,24 +38,26 @@ let rec sift_down q i =
 let push q key v =
   if q.size = Array.length q.keys then begin
     let cap = 2 * q.size in
-    let keys = Array.make cap 0.0 and vals = Array.make cap None in
+    let keys = Array.make cap 0.0 and vals = Array.make cap 0 in
     Array.blit q.keys 0 keys 0 q.size;
     Array.blit q.vals 0 vals 0 q.size;
     q.keys <- keys;
     q.vals <- vals
   end;
   q.keys.(q.size) <- key;
-  q.vals.(q.size) <- Some v;
+  q.vals.(q.size) <- v;
   q.size <- q.size + 1;
   sift_up q (q.size - 1)
 
+let min_key q =
+  if q.size = 0 then raise Not_found;
+  q.keys.(0)
+
 let pop q =
   if q.size = 0 then raise Not_found;
-  let key = q.keys.(0) in
-  let v = match q.vals.(0) with Some v -> v | None -> assert false in
+  let v = q.vals.(0) in
   q.size <- q.size - 1;
   q.keys.(0) <- q.keys.(q.size);
   q.vals.(0) <- q.vals.(q.size);
-  q.vals.(q.size) <- None;
   if q.size > 0 then sift_down q 0;
-  (key, v)
+  v

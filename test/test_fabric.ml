@@ -456,12 +456,44 @@ let test_pqueue_ordering () =
   Alcotest.(check bool) "empty" true (Pqueue.is_empty q);
   List.iter (fun k -> Pqueue.push q k (int_of_float k)) [ 5.0; 1.0; 3.0; 2.0; 4.0 ];
   Alcotest.(check int) "length" 5 (Pqueue.length q);
-  let order = List.init 5 (fun _ -> fst (Pqueue.pop q)) in
+  let order =
+    List.init 5 (fun _ ->
+        let k = Pqueue.min_key q in
+        Alcotest.(check int) "payload of its key" (int_of_float k) (Pqueue.pop q);
+        k)
+  in
   Alcotest.(check (list (float 0.0))) "sorted pops" [ 1.0; 2.0; 3.0; 4.0; 5.0 ] order;
   Alcotest.(check bool) "empty again" true (Pqueue.is_empty q);
+  (match Pqueue.min_key q with
+  | _ -> Alcotest.fail "expected Not_found from min_key"
+  | exception Not_found -> ());
   match Pqueue.pop q with
   | _ -> Alcotest.fail "expected Not_found"
   | exception Not_found -> ()
+
+(* Maze and Lagrangian results break distance ties by the heap's pop
+   order, so the order for repeated keys is pinned exactly. The queue is
+   cleared first: storage left from earlier entries must not leak in. *)
+let test_pqueue_tie_order () =
+  let q = Pqueue.create () in
+  List.iter (fun k -> Pqueue.push q k 99) [ 0.5; 1.0; 0.0 ];
+  Pqueue.clear q;
+  Alcotest.(check bool) "cleared" true (Pqueue.is_empty q);
+  let pops = ref [] in
+  let pop_n n =
+    for _ = 1 to n do
+      pops := Pqueue.pop q :: !pops
+    done
+  in
+  List.iteri (fun i k -> Pqueue.push q k i)
+    [ 3.0; 1.0; 2.0; 1.0; 3.0; 2.0; 1.0; 0.0; 2.0; 3.0; 1.0; 2.0 ];
+  pop_n 4;
+  List.iteri (fun i k -> Pqueue.push q k (12 + i)) [ 1.0; 2.0; 0.0; 1.0; 3.0 ];
+  pop_n (Pqueue.length q);
+  Alcotest.(check (list int))
+    "payload pop order"
+    [ 7; 1; 3; 10; 14; 6; 12; 15; 11; 8; 13; 2; 5; 9; 4; 16; 0 ]
+    (List.rev !pops)
 
 let prop_global_deterministic =
   QCheck.Test.make ~name:"global routing is deterministic" ~count:5
@@ -484,7 +516,8 @@ let prop_pqueue_sorted =
       let rec drain prev =
         if Pqueue.is_empty q then true
         else begin
-          let k, _ = Pqueue.pop q in
+          let k = Pqueue.min_key q in
+          ignore (Pqueue.pop q);
           k >= prev && drain k
         end
       in
@@ -721,6 +754,8 @@ let () =
       ( "pqueue",
         [
           Alcotest.test_case "ordering" `Quick test_pqueue_ordering;
+          Alcotest.test_case "equal keys pop in a fixed order" `Quick
+            test_pqueue_tie_order;
           qtest prop_pqueue_sorted;
         ] );
       ( "global",

@@ -128,6 +128,87 @@ let test_width_determinism () =
     (bundled_clips ())
 
 (* ------------------------------------------------------------------ *)
+(* Golden traces: pricing speedups must not move a single result byte   *)
+(* ------------------------------------------------------------------ *)
+
+(* A paper-size clip (7x10 tracks x 8 layers, N7-9T) with three
+   two-sink nets, so the Steiner DP's merge runs as well as the plain
+   two-terminal Dijkstra. *)
+let q230 =
+  {|clip q230
+tech N7-9T
+size 7 10 8
+net n2
+pin u2/Y shape 396 -12 420 212 access 3,0 3,1 3,2
+pin u302/A shape 532 -12 556 112 access 4,0 4,1
+pin n2/port access 0,0
+endnet
+net n85
+pin u123/Y shape 804 788 828 1012 access 6,9 6,8 6,7
+pin u302/C shape 804 -12 828 112 access 6,0 6,1
+pin n85/port access 1,0
+endnet
+net n102
+pin u123/B shape 668 888 692 1012 access 5,9 5,8
+pin u123/A shape 532 888 556 1012 access 4,9 4,8
+pin n102/port access 0,9
+endnet
+net n63
+pin u302/B shape 668 -12 692 112 access 5,0 5,1
+pin n63/port access 2,0
+endnet
+endclip
+|}
+
+(* Every sub-gradient step's dual and step size (bit-exact, [%h]), the
+   final bound and iteration count, and the rounded routes' edge lists
+   in their routed order. *)
+let trace_digest (r : Lagrangian.t) =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (s : Lagrangian.iter_stat) ->
+      Printf.bprintf b "%d %h %h\n" s.Lagrangian.it s.Lagrangian.dual
+        s.Lagrangian.step)
+    r.Lagrangian.trace;
+  Printf.bprintf b "bound %h iters %d\n" r.Lagrangian.dual_bound
+    r.Lagrangian.iterations;
+  (match r.Lagrangian.solution with
+  | None -> Buffer.add_string b "unrounded\n"
+  | Some sol ->
+    Array.iter
+      (fun (nr : Route.net_route) ->
+        Printf.bprintf b "%d:%s\n" nr.Route.net
+          (String.concat "," (List.map string_of_int nr.Route.edges)))
+      sol.Route.routes);
+  Optrouter_hash.Stable.digest_hex (Buffer.contents b)
+
+let golden_digests =
+  [
+    ("quickstart", "69b7041d0b6ac940125904f2591de2d5");
+    ("eol-conflict", "0c47f6a092eeedcfc1431ca7d020ed75");
+    ("ladder", "682ea7d59e9f819b6f4569dd99bcabdb");
+    ("q230", "8dfd3067c1ce44a9610855816ed805a0");
+  ]
+
+let test_golden_traces () =
+  let q230 =
+    match Clipfile.one_of_string q230 with
+    | Ok c -> c
+    | Error e -> Alcotest.failf "q230: %s" e
+  in
+  let rules = rule 1 in
+  let digests =
+    List.map
+      (fun (clip : Clip.t) ->
+        let tech = Tech.by_name clip.Clip.tech_name in
+        let g = Graph.build ~tech ~rules clip in
+        (clip.Clip.c_name, trace_digest (Lagrangian.solve ~rules g)))
+      (bundled_clips () @ [ q230 ])
+  in
+  Alcotest.(check (list (pair string string)))
+    "RULE1 width-1 trace digests" golden_digests digests
+
+(* ------------------------------------------------------------------ *)
 (* Driver plumbing: verdict, stats, fingerprint                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -285,6 +366,7 @@ let () =
           Alcotest.test_case "gap <= 2% vs ILP optimum" `Quick test_bundled_gap;
           Alcotest.test_case "widths 1/2/4 byte-identical" `Quick
             test_width_determinism;
+          Alcotest.test_case "golden traces" `Quick test_golden_traces;
         ] );
       ( "driver",
         [
