@@ -169,6 +169,23 @@ let write_sweep_json () =
 let banner title =
   Printf.printf "\n================ %s ================\n" title
 
+(* Host caveat for a width series that runs [domains] [noun] domains
+   ("worker", "pricing") at its widest: no speedup is measurable on one
+   core, and it is capped at [cores]x on fewer cores than domains. *)
+let host_note ~cores ~domains ~noun base =
+  if cores = 1 then
+    Printf.sprintf
+      "Host exposes 1 core: the %d %s domains time-slice it, so no \
+       wall-clock speedup is measurable here — the width series verifies \
+       the determinism contract and bounds the fan-out overhead. %s"
+      domains noun base
+  else if cores < domains then
+    Printf.sprintf
+      "Host exposes %d cores: the %d %s domains time-slice them, so the \
+       speedup is capped at %dx. %s"
+      cores domains noun cores base
+  else base
+
 let section_table2 () =
   banner "Table 2: benchmark designs";
   print_string
@@ -559,13 +576,10 @@ let section_solver () =
      reported separately, never folded into a solve wall). *)
   let root_rows = ref [] in
   let root_json = ref [] in
-  let dantzig_total = ref 0.0 in
-  let warm_total = ref 0.0 in
-  (* Per-mode wall budget for the root-LP study: a full-pricing root solve
-     on a hard clip can grind for minutes, which is itself the result —
-     record it as a budget hit instead of letting the study run unbounded.
-     The default must clear the slowest devex cold solve comfortably or
-     the whole tech drops out of the comparison. *)
+  (* Per-mode wall budget for the root-LP study: a root solve that cannot
+     finish is recorded as a budget hit instead of letting the study run
+     unbounded. The default must clear the slowest devex cold solve
+     comfortably or the whole tech drops out of the comparison. *)
   let root_budget =
     env_float "OPTROUTER_BENCH_ROOT_BUDGET" (Float.min 10.0 time_limit)
   in
@@ -588,15 +602,12 @@ let section_solver () =
     in
     Milp.solve ~params lp
   in
-  (* Root-relaxation pricing/warm-start study on [clip]: RULE1 plus the
-     first few applicable rules, each LP prepared once
-     (Simplex.Instance.create, timed separately) and root-solved under
-     full Dantzig pricing, cold devex, and — for RULEk — devex warm-started
-     from the RULE1 optimal basis remapped by name. Every finished mode
-     must reach the Dantzig status, and every Optimal result must pass
-     the independent certificate check and match the Dantzig objective;
-     the combined speedup (all-Dantzig vs devex+warm) is the
-     headline root_lp number. *)
+  (* Root-relaxation warm-start study on [clip]: RULE1 plus the first few
+     applicable rules, each LP prepared once (Simplex.Instance.create,
+     timed separately) and root-solved cold and — for RULEk — warm-started
+     from the RULE1 optimal basis remapped by name. A finished warm solve
+     must reach the cold status, and every Optimal result must pass the
+     independent certificate check and match the cold objective. *)
   let root_lp_study tech clip =
     let wall f =
       (* fast solves get min-of-3 (a single microsecond-scale timing is
@@ -636,9 +647,9 @@ let section_solver () =
     in
     let rule1_assoc = ref None in
     (* Set once the RULE1 entry fails to yield a reusable basis: without
-       it every remaining rule would charge the full budget to both
-       campaign sides (there is nothing to warm-start), measuring only
-       the budget itself. Such entries are skipped and logged. *)
+       it there is nothing to warm-start, and the remaining rules would
+       only measure the budget itself. Such entries are skipped and
+       logged. *)
     let no_basis = ref false in
     let entries =
       List.filter_map
@@ -648,21 +659,13 @@ let section_solver () =
           let g = Graph.build ~tech ~rules:r clip in
           let lp = Formulate.lp (Formulate.build ~rules:r g) in
           let inst, build_s = wall (fun () -> Simplex.Instance.create lp) in
-          let dantzig =
-            run_mode inst lp "dantzig"
-              (Simplex.make_params ~pricing:Simplex.Dantzig ())
-          in
-          let devex_cold =
-            run_mode inst lp "devex"
-              (Simplex.make_params ~pricing:Simplex.Devex ())
-          in
+          let devex_cold = run_mode inst lp "devex" Simplex.Params.default in
           let devex_warm =
             match !rule1_assoc with
             | None -> None
             | Some assoc ->
               let basis, _fixup = Simplex.Basis.of_assoc lp assoc in
-              run_mode inst lp "devex+warm"
-                (Simplex.make_params ~basis ~pricing:Simplex.Devex ())
+              run_mode inst lp "devex+warm" (Simplex.make_params ~basis ())
           in
           (match (r.Rules.name, devex_cold) with
           | "RULE1", Some (_, res, _, _) when res.Simplex.status = Simplex.Optimal
@@ -675,15 +678,14 @@ let section_solver () =
                skipping RULEk warm-start entries\n"
               tech.Tech.name clip.Clip.c_name
           | _ -> ());
-          (* The reference every other finished mode must reproduce: the
-             same status and, between two Optimal roots, the same
+          (* The cold root is the reference the warm one must reproduce:
+             the same status and, between two Optimal roots, the same
              objective. Non-Optimal objectives are phase-1 values and are
              never compared. *)
           let reference =
-            Option.map (fun (_, (res : Simplex.result), _, _) -> res) dantzig
+            Option.map (fun (_, (res : Simplex.result), _, _) -> res) devex_cold
           in
-          let modes = List.filter_map Fun.id [ dantzig; devex_cold; devex_warm ] in
-          let mode_json (name, (res : Simplex.result), w, verified) =
+          let mode_json ~reference (name, (res : Simplex.result), w, verified) =
             let status = status_name res.Simplex.status in
             let identical =
               match reference with
@@ -691,7 +693,7 @@ let section_solver () =
               | Some ref_res when ref_res.Simplex.status <> res.Simplex.status ->
                 incr mismatches;
                 Printf.printf
-                  "ROOT-LP STATUS MISMATCH: %s %s %s is %s, dantzig is %s\n"
+                  "ROOT-LP STATUS MISMATCH: %s %s %s is %s, devex is %s\n"
                   clip.Clip.c_name r.Rules.name name status
                   (status_name ref_res.Simplex.status);
                 None
@@ -704,7 +706,7 @@ let section_solver () =
                 if not same then begin
                   incr mismatches;
                   Printf.printf
-                    "ROOT-LP MISMATCH: %s %s %s proved %g, dantzig proved %g\n"
+                    "ROOT-LP MISMATCH: %s %s %s proved %g, devex proved %g\n"
                     clip.Clip.c_name r.Rules.name name res.Simplex.objective
                     ref_res.Simplex.objective
                 end;
@@ -751,20 +753,11 @@ let section_solver () =
                 @ Option.fold identical ~none:[] ~some:(fun same ->
                       [ ("objective_identical", Report.Json.Bool same) ])) )
           in
-          let mode_fields = List.map mode_json modes in
-          (* Combined-campaign accounting: the old regime prices every
-             root LP with full Dantzig scans; the new one solves RULE1
-             cold under devex and every RULEk from the remapped basis. *)
-          (match dantzig with
-          | Some (_, _, w, _) -> dantzig_total := !dantzig_total +. w
-          | None ->
-            (* budget hit: count the budget itself, a lower bound on what
-               the mode would have cost *)
-            dantzig_total := !dantzig_total +. root_budget);
-          (match (devex_warm, devex_cold) with
-          | Some (_, _, w, _), _ | None, Some (_, _, w, _) ->
-            warm_total := !warm_total +. w
-          | None, None -> warm_total := !warm_total +. root_budget);
+          let mode_fields =
+            List.filter_map
+              (fun (mode, reference) -> Option.map (mode_json ~reference) mode)
+              [ (devex_cold, None); (devex_warm, reference) ]
+          in
           Some
             (Report.Json.Obj
                (("rule", Report.Json.String r.Rules.name)
@@ -892,18 +885,11 @@ let section_solver () =
            serial tree: %d nodes)."
           max_nodes
     in
-    if cores < 4 then
-      Printf.sprintf
-        "Host exposes %d core(s): the %d worker domains time-slice one \
-         core, so no wall-clock speedup is measurable here regardless of \
-         tree size. %s"
-        cores
-        (List.fold_left max 1 widths)
-        tree
-    else tree
+    host_note ~cores ~domains:(List.fold_left max 1 widths) ~noun:"worker"
+      tree
   in
   Printf.printf "note: %s\n" note;
-  banner "solver: root-LP pricing and warm starts";
+  banner "solver: root-LP warm starts";
   print_string
     (Report.Table.render
        ~header:
@@ -912,12 +898,6 @@ let section_solver () =
            "wall ms"; "objective"; "verified";
          ]
        (List.rev !root_rows));
-  let root_lp_speedup =
-    if !warm_total > 0.0 then !dantzig_total /. !warm_total else 0.0
-  in
-  Printf.printf
-    "root-LP campaign: %.3f ms all-dantzig vs %.3f ms devex+warm => %.2fx\n"
-    (!dantzig_total *. 1e3) (!warm_total *. 1e3) root_lp_speedup;
   ensure_results_dir ();
   let path = Filename.concat results_dir "BENCH_solver.json" in
   Report.Json.write_file path
@@ -930,7 +910,6 @@ let section_solver () =
          ("per_tech", Report.Json.Obj (List.rev !per_tech));
          ("root_lp", Report.Json.Obj (List.rev !root_json));
          ("root_budget_s", Report.Json.Float root_budget);
-         ("root_lp_speedup", Report.Json.Float root_lp_speedup);
        ]);
   Printf.printf "[solver bench written to %s]\n%!" path;
   if !mismatches > 0 then exit 1
@@ -1155,19 +1134,8 @@ let section_lagrangian () =
       "speedup_vs_serial at 4 pricing workers is the headline number; \
        solutions are byte-identical across widths by construction."
     in
-    let widest = List.fold_left max 1 widths in
-    if cores = 1 then
-      Printf.sprintf
-        "Host exposes 1 core: the %d pricing domains time-slice it, so no \
-         wall-clock speedup is measurable here — the width series verifies \
-         the determinism contract and bounds the fan-out overhead. %s"
-        widest base
-    else if cores < widest then
-      Printf.sprintf
-        "Host exposes %d cores: the %d pricing domains time-slice them, so \
-         the speedup is capped at %dx. %s"
-        cores widest cores base
-    else base
+    host_note ~cores ~domains:(List.fold_left max 1 widths) ~noun:"pricing"
+      base
   in
   Printf.printf "note: %s\n" note;
   ensure_results_dir ();

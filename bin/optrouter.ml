@@ -113,26 +113,6 @@ let jobs_arg =
           "Fan independent ILP solves over $(docv) domains. Results are \
            identical to a serial run.")
 
-let pricing_conv =
-  let parse s =
-    match Simplex.pricing_of_string s with
-    | Ok p -> Ok p
-    | Error msg -> Error (`Msg msg)
-  in
-  Arg.conv (parse, fun ppf p -> Format.pp_print_string ppf (Simplex.pricing_name p))
-
-let pricing_arg =
-  Arg.(
-    value
-    & opt (some pricing_conv) None
-    & info [ "pricing" ] ~docv:"RULE"
-        ~env:(Cmd.Env.info "OPTROUTER_PRICING")
-        ~doc:
-          "Simplex pricing rule: $(b,devex) (reference-weight partial \
-           pricing, the default) or $(b,dantzig) (full most-negative scan). \
-           Every rule proves the same optimum; only iteration counts and \
-           speed change.")
-
 let solve_mode_conv =
   let parse s =
     match String.lowercase_ascii s with
@@ -190,16 +170,10 @@ let load_clips path =
     Printf.eprintf "error: %s: %s\n" path msg;
     exit 1
 
-let config_of ?(reuse = true) ?(audit = false) ?(solver_jobs = 1) ?pricing
+let config_of ?(reuse = true) ?(audit = false) ?(solver_jobs = 1)
     ?(solve_mode = Optrouter_drv.Exact) ~time_limit () =
-  let simplex =
-    match pricing with
-    | None -> Simplex.make_params ()
-    | Some pricing -> Simplex.make_params ~pricing ()
-  in
   let milp =
-    Milp.make_params ~max_nodes:200_000 ~time_limit_s:time_limit ~solver_jobs
-      ~simplex ()
+    Milp.make_params ~max_nodes:200_000 ~time_limit_s:time_limit ~solver_jobs ()
   in
   if audit then
     Optrouter_drv.make_config ~milp ~solve_mode ~seed_reuse:reuse
@@ -227,13 +201,11 @@ let no_reuse_arg =
 
 (* ---- route ---- *)
 
-let do_route tech rules objective time_limit solver_jobs pricing solve_mode
-    audit lp_out route_out path () =
+let do_route tech rules objective time_limit solver_jobs solve_mode audit
+    lp_out route_out path () =
   let clips = load_clips path in
   let rules = Rules.with_objective objective rules in
-  let config =
-    config_of ~audit ~solver_jobs ?pricing ~solve_mode ~time_limit ()
-  in
+  let config = config_of ~audit ~solver_jobs ~solve_mode ~time_limit () in
   List.iteri
     (fun i clip ->
       (match lp_out with
@@ -309,17 +281,17 @@ let route_cmd =
   Cmd.v (Cmd.info "route" ~doc)
     Term.(
       const do_route $ tech_arg $ rule_arg $ objective_arg $ time_limit_arg
-      $ solver_jobs_arg $ pricing_arg $ solve_mode_arg $ audit_flag
-      $ lp_out_arg $ route_out_arg $ clips_file_arg $ logs_term)
+      $ solver_jobs_arg $ solve_mode_arg $ audit_flag $ lp_out_arg
+      $ route_out_arg $ clips_file_arg $ logs_term)
 
 (* ---- sweep ---- *)
 
-let do_sweep tech objective time_limit jobs solver_jobs pricing solve_mode
-    no_reuse audit csv_out path () =
+let do_sweep tech objective time_limit jobs solver_jobs solve_mode no_reuse
+    audit csv_out path () =
   let clips = load_clips path in
   let config =
-    config_of ~reuse:(not no_reuse) ~audit ~solver_jobs ?pricing ~solve_mode
-      ~time_limit ()
+    config_of ~reuse:(not no_reuse) ~audit ~solver_jobs ~solve_mode ~time_limit
+      ()
   in
   (* Baseline and rule solves share the objective — the zero-Δ fast path
      is only a proof when both optimise the same thing. *)
@@ -395,8 +367,8 @@ let sweep_cmd =
   Cmd.v (Cmd.info "sweep" ~doc)
     Term.(
       const do_sweep $ tech_arg $ objective_arg $ time_limit_arg $ jobs_arg
-      $ solver_jobs_arg $ pricing_arg $ solve_mode_arg $ no_reuse_arg
-      $ audit_flag $ csv_out $ clips_file_arg $ logs_term)
+      $ solver_jobs_arg $ solve_mode_arg $ no_reuse_arg $ audit_flag
+      $ csv_out $ clips_file_arg $ logs_term)
 
 (* ---- gen ---- *)
 
@@ -740,7 +712,7 @@ let read_text_file path =
   close_in ic;
   s
 
-let do_solve_lp time_limit solver_jobs pricing warm_basis basis_out path () =
+let do_solve_lp time_limit solver_jobs warm_basis basis_out path () =
   match Lp_file.read_file path with
   | Error msg ->
     Printf.eprintf "error: %s: %s\n" path msg;
@@ -771,13 +743,7 @@ let do_solve_lp time_limit solver_jobs pricing warm_basis basis_out path () =
           Printf.eprintf "error: %s: %s\n" file msg;
           exit 1)
     in
-    let simplex_params =
-      match (basis, pricing) with
-      | None, None -> Simplex.make_params ()
-      | Some basis, None -> Simplex.make_params ~basis ()
-      | None, Some pricing -> Simplex.make_params ~pricing ()
-      | Some basis, Some pricing -> Simplex.make_params ~basis ~pricing ()
-    in
+    let simplex_params = Simplex.make_params ?basis () in
     let write_basis b =
       match basis_out with
       | None -> ()
@@ -844,8 +810,8 @@ let solve_lp_cmd =
   in
   Cmd.v (Cmd.info "solve-lp" ~doc)
     Term.(
-      const do_solve_lp $ time_limit_arg $ solver_jobs_arg $ pricing_arg
-      $ warm_basis $ basis_out $ lp_file $ logs_term)
+      const do_solve_lp $ time_limit_arg $ solver_jobs_arg $ warm_basis
+      $ basis_out $ lp_file $ logs_term)
 
 (* ---- serve / request ---- *)
 
@@ -864,7 +830,7 @@ let port_arg =
         ~doc:"TCP port on 127.0.0.1 to serve on / connect to.")
 
 let do_serve socket port cache_dir cache_capacity jobs solver_jobs batch queue
-    time_limit pricing () =
+    time_limit () =
   let listeners =
     (match socket with Some p -> [ Serve.Unix_socket p ] | None -> [])
     @ (match port with Some p -> [ Serve.Tcp p ] | None -> [])
@@ -873,7 +839,7 @@ let do_serve socket port cache_dir cache_capacity jobs solver_jobs batch queue
     Printf.eprintf "error: give --socket PATH and/or --port PORT\n";
     exit 2
   end;
-  let config = config_of ~solver_jobs ?pricing ~time_limit () in
+  let config = config_of ~solver_jobs ~time_limit () in
   let params =
     Serve.make_params ?cache_dir ~cache_capacity ~jobs ~solver_jobs
       ~batch_size:batch ~queue_capacity:queue ~time_limit_s:time_limit ~config
@@ -946,7 +912,7 @@ let serve_cmd =
     Term.(
       const do_serve $ socket_arg $ port_arg $ cache_dir_arg
       $ cache_capacity_arg $ jobs_arg $ solver_jobs_arg $ batch_arg
-      $ queue_arg $ serve_time_limit_arg $ pricing_arg $ logs_term)
+      $ queue_arg $ serve_time_limit_arg $ logs_term)
 
 let do_request socket port rule tech deadline no_cache stats shutdown path () =
   let listener =

@@ -105,10 +105,10 @@ let make_config ?(options = default_config.options)
    which routings are feasible or what they cost: formulation options,
    the via-shape menu, single_vias, bidirectional, and the MILP
    integrality tolerance. Deliberately excludes effort-only knobs —
-   time/node limits, solver_jobs, pricing/refactorisation,
-   heuristic_incumbent, seed_reuse, audit — which change how fast a
-   proven answer arrives, never the answer itself (only *proven* results
-   may be cached under a key built from this). [solve_mode] IS included:
+   time/node limits, solver_jobs, refactorisation, heuristic_incumbent,
+   seed_reuse, audit — which change how fast a proven answer arrives,
+   never the answer itself (only *proven* results may be cached under a
+   key built from this). [solve_mode] IS included:
    Lagrangian results are near-optimal rather than proven, so the two
    modes must never share a cache entry. Fixed order and spelling:
    part of the serve cache's key format, versioned there. *)

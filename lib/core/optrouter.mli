@@ -148,8 +148,8 @@ val make_config :
     {e results} (formulation options, via-shape menu, [single_vias],
     [bidirectional], the MILP integrality tolerance) — the params
     component of content-addressed cache keys. Effort-only knobs
-    (limits, parallel widths, pricing, [heuristic_incumbent],
-    [seed_reuse], [audit]) are deliberately
+    (limits, parallel widths, the simplex refactorisation policy,
+    [heuristic_incumbent], [seed_reuse], [audit]) are deliberately
     excluded: they change how fast a proven answer arrives, never the
     answer, so configs differing only in effort share cache entries.
     [solve_mode] {e is} included — Lagrangian answers are near-optimal,

@@ -72,9 +72,9 @@ type params = {
           {!Optrouter_eval.Sweep} for how the two levels share a machine
           budget. Values below 1 behave as 1; capped at 128. *)
   simplex : Simplex.Params.t;
-      (** LP solver parameters (pricing rule, refactorisation policy, …)
-          handed to every LP solve; the per-node basis, bounds and
-          deadline fields are overridden by the search itself *)
+      (** LP solver parameters (refactorisation policy, …) handed to
+          every LP solve; the per-node basis, bounds and deadline fields
+          are overridden by the search itself *)
 }
 
 val default_params : params

@@ -4,8 +4,6 @@ type vstat = Basic | At_lower | At_upper | Nb_free
 type basis = { vstat : vstat array; basic : int array }
 type status = Optimal | Infeasible | Unbounded
 
-type pricing = Dantzig | Devex
-
 type warm = [ `Cold | `Reused | `Repaired ]
 
 type result = {
@@ -52,31 +50,16 @@ type refactor_params = {
 
 let default_refactor = { interval = 128; fill_factor = 16.0; residual_tol = 1e-7 }
 
-let pricing_name = function Dantzig -> "dantzig" | Devex -> "devex"
-
-let pricing_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "dantzig" | "full" -> Ok Dantzig
-  | "devex" | "partial" -> Ok Devex
-  | other ->
-    Error (Printf.sprintf "unknown pricing %S (expected dantzig|devex)" other)
-
-(* Read once at module initialisation; an unparseable value silently keeps
-   the default so a stray environment cannot break solves. *)
-let env_pricing =
-  match Sys.getenv_opt "OPTROUTER_PRICING" with
-  | None -> Devex
-  | Some s -> ( match pricing_of_string s with Ok p -> p | Error _ -> Devex)
+(* Pivots after which a solve gives up with [Numerical_failure]. *)
+let max_iters = 200_000
 
 module Params = struct
   type t = {
     basis : basis option;
     lower : float array option;
     upper : float array option;
-    max_iters : int;
     deadline_s : float option;
     refactor : refactor_params;
-    pricing : pricing;
   }
 
   let default =
@@ -84,16 +67,14 @@ module Params = struct
       basis = None;
       lower = None;
       upper = None;
-      max_iters = 200_000;
       deadline_s = None;
       refactor = default_refactor;
-      pricing = env_pricing;
     }
 end
 
-let make_params ?basis ?lower ?upper ?(max_iters = 200_000) ?deadline_s
-    ?(refactor = default_refactor) ?(pricing = env_pricing) () =
-  { Params.basis; lower; upper; max_iters; deadline_s; refactor; pricing }
+let make_params ?basis ?lower ?upper ?deadline_s ?(refactor = default_refactor)
+    () =
+  { Params.basis; lower; upper; deadline_s; refactor }
 
 module Instance = struct
   type t = {
@@ -166,7 +147,6 @@ module Instance = struct
   type st = {
     inst : t;
     refp : refactor_params;
-    pricing : pricing;
     lo : float array;
     up : float array;
     vstat : vstat array;
@@ -558,37 +538,34 @@ module Instance = struct
     done;
     !acc
 
-  (* Dantzig pricing (largest violation), falling back to Bland's rule when
-     a long degenerate stall is detected. *)
-  let dantzig_price st ~phase1 =
+  (* Bland's rule: the least-index eligible column. The solve loop falls
+     back to it after a long degenerate stall, for its anti-cycling
+     guarantee. *)
+  let bland_price st ~phase1 =
     ensure_duals st ~phase1;
-    let best = ref None in
-    let consider j dir dq =
-      let score = Float.abs dq in
-      match !best with
-      | Some (_, s) when not st.bland && s >= score -> ()
-      | Some _ when st.bland -> ()
-      | Some _ | None -> best := Some ({ q = j; dir; dq }, score)
-    in
-    (try
-       for j = 0 to st.inst.ncols - 1 do
-         (match st.vstat.(j) with
-         | Basic -> ()
-         | At_lower | At_upper | Nb_free ->
-           if st.up.(j) -. st.lo.(j) > zero_tol then begin
-             let d = reduced_cost st ~phase1 j in
-             match st.vstat.(j) with
-             | At_lower -> if d < -.dual_tol then consider j 1.0 d
-             | At_upper -> if d > dual_tol then consider j (-1.0) d
-             | Nb_free ->
-               if d < -.dual_tol then consider j 1.0 d
-               else if d > dual_tol then consider j (-1.0) d
-             | Basic -> ()
-           end);
-         if st.bland && !best <> None then raise Exit
-       done
-     with Exit -> ());
-    Option.map fst !best
+    let best = ref None and j = ref 0 in
+    while Option.is_none !best && !j < st.inst.ncols do
+      let jj = !j in
+      (match st.vstat.(jj) with
+      | Basic -> ()
+      | At_lower | At_upper | Nb_free ->
+        if st.up.(jj) -. st.lo.(jj) > zero_tol then begin
+          let d = reduced_cost st ~phase1 jj in
+          let dir =
+            match st.vstat.(jj) with
+            | At_lower -> if d < -.dual_tol then 1.0 else 0.0
+            | At_upper -> if d > dual_tol then -1.0 else 0.0
+            | Nb_free ->
+              if d < -.dual_tol then 1.0
+              else if d > dual_tol then -1.0
+              else 0.0
+            | Basic -> 0.0
+          in
+          if dir <> 0.0 then best := Some { q = jj; dir; dq = d }
+        end);
+      incr j
+    done;
+    !best
 
   (* Devex pricing over a partial candidate scan. Scores are d^2 / w_j
      against the reference weights in [st.dw]; the scan starts at the
@@ -645,10 +622,7 @@ module Instance = struct
     !best
 
   let price st ~phase1 =
-    (* Bland's rule needs the least-index eligible column, which only the
-       full scan provides. *)
-    if st.bland || st.pricing = Dantzig then dantzig_price st ~phase1
-    else devex_price st ~phase1
+    if st.bland then bland_price st ~phase1 else devex_price st ~phase1
 
   type step_limit = Unlimited | Flip of float | Block of int * float * vstat
 
@@ -966,17 +940,7 @@ module Instance = struct
     }
 
   let solve ?(params = Params.default) inst =
-    let {
-      Params.basis;
-      lower;
-      upper;
-      max_iters;
-      deadline_s;
-      refactor = refp;
-      pricing;
-    } =
-      params
-    in
+    let { Params.basis; lower; upper; deadline_s; refactor = refp } = params in
     let n = inst.n and m = inst.m and ncols = inst.ncols in
     let lo = Array.copy inst.base_lo and up = Array.copy inst.base_up in
     (match lower with
@@ -997,7 +961,6 @@ module Instance = struct
       {
         inst;
         refp;
-        pricing;
         lo;
         up;
         vstat = Array.make ncols At_lower;
@@ -1068,7 +1031,6 @@ module Instance = struct
         normalize_nonbasic st j
       done;
       compute_xb st);
-    let debug = Sys.getenv_opt "OPTROUTER_SIMPLEX_DEBUG" <> None in
     let confirm = ref false in
     let rec loop () =
       if st.niter > max_iters then
@@ -1079,28 +1041,21 @@ module Instance = struct
       | Some _ | None -> ());
       st.niter <- st.niter + 1;
       let phase1 = infeasibility st > feas_tol in
-      if st.niter mod 1000 = 0 then begin
-        let progress_line () =
-          let obj = ref 0.0 in
-          for pos = 0 to st.inst.m - 1 do
-            obj := !obj +. (st.inst.cost.(st.basic.(pos)) *. st.xb.(pos))
-          done;
-          for j = 0 to st.inst.ncols - 1 do
-            if st.vstat.(j) <> Basic then
-              obj := !obj +. (st.inst.cost.(j) *. nb_value st j)
-          done;
-          Printf.sprintf
-            "iter=%d phase=%d infeas=%.3g obj=%.6f neta=%d eta_nnz=%d bland=%b degen=%d"
-            st.niter
-            (if phase1 then 1 else 2)
-            (infeasibility st) !obj st.neta (eta_nnz st) st.bland st.degen_count
-        in
-        (* The legacy OPTROUTER_SIMPLEX_DEBUG variable bypasses the level
-           filter; either way the event goes through the Log sink, whose
-           single-write lines cannot interleave across domains. *)
-        if debug then Log.emit Log.Debug ~src:"simplex" progress_line
-        else Log.debug ~src:"simplex" progress_line
-      end;
+      if st.niter mod 1000 = 0 then
+        Log.debug ~src:"simplex" (fun () ->
+            let obj = ref 0.0 in
+            for pos = 0 to st.inst.m - 1 do
+              obj := !obj +. (st.inst.cost.(st.basic.(pos)) *. st.xb.(pos))
+            done;
+            for j = 0 to st.inst.ncols - 1 do
+              if st.vstat.(j) <> Basic then
+                obj := !obj +. (st.inst.cost.(j) *. nb_value st j)
+            done;
+            Printf.sprintf
+              "iter=%d phase=%d infeas=%.3g obj=%.6f neta=%d eta_nnz=%d bland=%b degen=%d"
+              st.niter
+              (if phase1 then 1 else 2)
+              (infeasibility st) !obj st.neta (eta_nnz st) st.bland st.degen_count);
       match price st ~phase1 with
       | None ->
         if (not phase1) && st.perturbed then begin
@@ -1151,7 +1106,7 @@ module Instance = struct
         if st.degen_count > 200 then st.bland <- true;
         (* A long fully-degenerate Bland sequence means a plateau the
            pivoting rules cannot escape. Remedies, escalating: perturb the
-           costs (gives Dantzig a strict direction across the plateau),
+           costs (gives devex a strict direction across the plateau),
            then shift the bounds; give up after a few rounds and let the
            caller restart cold. *)
         if st.degen_count > 600 then begin

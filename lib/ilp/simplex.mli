@@ -13,14 +13,15 @@
     bound nodes, and what {!Basis} extends across structurally different
     LPs via name-keyed remapping.
 
-    Pricing is devex over a partial candidate scan by default (reference
-    weights updated per pivot, wrap-around chunked scan); Dantzig full
-    pricing remains available and both provably reach the same optimum —
-    pricing only chooses the path, the optimality test is pricing-
-    independent, and terminal claims are re-derived from a fresh
-    factorisation. Ratio-test steps limited by the entering variable's own
-    opposite bound are applied as bound flips: no basis change, no eta, and
-    the cached duals stay valid so the next pricing pass skips its BTRAN.
+    Pricing is devex over a partial candidate scan (reference weights
+    updated per pivot, wrap-around chunked scan). After a long degenerate
+    stall it falls back to Bland's rule (least-index entering and leaving
+    variables) until the objective moves again. Pricing only chooses the
+    path: the optimality test is a full scan under fixed duals, and
+    terminal claims are re-derived from a fresh factorisation. Ratio-test
+    steps limited by the entering variable's own opposite bound are applied
+    as bound flips: no basis change, no eta, and the cached duals stay
+    valid so the next pricing pass skips its BTRAN.
 
     Integrality kinds on variables are ignored here; this module solves the
     continuous relaxation. *)
@@ -37,11 +38,6 @@ type vstat =
 type basis = { vstat : vstat array; basic : int array }
 
 type status = Optimal | Infeasible | Unbounded
-
-(** Entering-variable selection rule. [Devex] (the default) prices a
-    partial candidate list against devex reference weights; [Dantzig] is
-    the classic full most-negative scan. Both certify the same optimum. *)
-type pricing = Dantzig | Devex
 
 (** How a supplied starting basis was used: [`Cold] — none supplied, or it
     was abandoned (pathological fill-in, dual re-optimisation stall);
@@ -84,12 +80,6 @@ val default_refactor : refactor_params
 
 exception Numerical_failure of string
 
-val pricing_name : pricing -> string
-
-(** Accepts ["dantzig"]/["full"] and ["devex"]/["partial"], case
-    insensitively. *)
-val pricing_of_string : string -> (pricing, string) Result.t
-
 (** Solver parameters, replacing the former optional-argument soup on
     {!Instance.solve}. Build with {!make_params}. *)
 module Params : sig
@@ -98,16 +88,12 @@ module Params : sig
     lower : float array option;
         (** overrides the structural lower bounds; length [nvars] *)
     upper : float array option;
-    max_iters : int;
     deadline_s : float option;
         (** absolute [Unix.gettimeofday] abort time *)
     refactor : refactor_params;
-    pricing : pricing;
   }
 
-  (** No basis, no bound overrides, 200k iterations, no deadline,
-      {!default_refactor}, and the pricing selected by the
-      [OPTROUTER_PRICING] environment variable (default [Devex]). *)
+  (** No basis, no bound overrides, no deadline, {!default_refactor}. *)
   val default : t
 end
 
@@ -117,10 +103,8 @@ val make_params :
   ?basis:basis ->
   ?lower:float array ->
   ?upper:float array ->
-  ?max_iters:int ->
   ?deadline_s:float ->
   ?refactor:refactor_params ->
-  ?pricing:pricing ->
   unit ->
   Params.t
 
@@ -136,8 +120,7 @@ module Instance : sig
 
   (** [solve ?params inst] solves the instance under [params] (default
       {!Params.default}). Raises {!Numerical_failure} if the basis cannot
-      be kept factorised, the iteration limit is hit, or the deadline
-      passes. *)
+      be kept factorised, 200k iterations pass, or the deadline passes. *)
   val solve : ?params:Params.t -> t -> result
 end
 
@@ -185,6 +168,6 @@ end
     certificate: primal feasibility of [result.x] and sign conditions of the
     reduced costs against the variable bounds. Returns an error description
     on failure. Useful in tests: it certifies optimality without trusting
-    the solver internals — every pricing mode and warm-start path must pass
-    it with the same objective. *)
+    the solver internals — every warm-start path must pass it with the
+    same objective. *)
 val verify_optimal : ?tol:float -> Lp.t -> result -> (unit, string) Result.t

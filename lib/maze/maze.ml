@@ -246,15 +246,6 @@ let nets_of_violation (sol : Route.solution) st viol =
     let owner v = if v < st.ngrid then st.vertex_owner.(v) else -1 in
     List.filter (fun k -> k >= 0) [ owner v1; owner v2 ]
 
-(* Legacy debug switch: bypasses the Report.Log level filter, but events
-   still flow through its sink (single-write lines, no cross-domain
-   interleaving) and are always counted into the telemetry either way. *)
-let maze_debug = Sys.getenv_opt "OPTROUTER_MAZE_DEBUG" <> None
-
-let maze_event line =
-  if maze_debug then Log.emit Log.Debug ~src:"maze" line
-  else Log.debug ~src:"maze" line
-
 let route ?(params = default_params) ~rules (g : Graph.t) =
   let nnets = Array.length g.nets in
   let ngrid = g.clip.Clip.cols * g.clip.Clip.rows * g.clip.Clip.layers in
@@ -299,7 +290,7 @@ let route ?(params = default_params) ~rules (g : Graph.t) =
         match route_net st k with
         | Some edges -> routes.(k) <- Some { Route.net = k; edges }
         | None ->
-          maze_event (fun () ->
+          Log.debug ~src:"maze" (fun () ->
               Printf.sprintf "attempt %d: net %d unroutable" attempt k);
           all_ok := false)
       order;
@@ -321,7 +312,7 @@ let route ?(params = default_params) ~rules (g : Graph.t) =
       match Drc.check ~rules g sol with
       | [] -> continue_repair := false
       | viols ->
-        maze_event (fun () ->
+        Log.debug ~src:"maze" (fun () ->
             Format.asprintf "attempt %d round %d: %d violations%a" attempt
               !round (List.length viols)
               (fun ppf ->

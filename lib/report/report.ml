@@ -446,15 +446,11 @@ module Log = struct
   let reset_counts () =
     List.iter (fun (_, c) -> Atomic.set c 0) (Atomic.get counters)
 
-  (* [emit] bypasses the level filter (for legacy per-module debug env
-     vars); [event] is the normal counted-and-filtered entry point. Both
-     count, so quiet runs still surface how much was suppressed. *)
-  let emit lvl ~src msg =
-    Atomic.incr (bucket src);
-    (Atomic.get sink) lvl ~src (msg ())
-
+  (* Every event counts, rendered or not, so quiet runs still surface how
+     much was suppressed. *)
   let event lvl ~src msg =
-    if enabled lvl then emit lvl ~src msg else Atomic.incr (bucket src)
+    Atomic.incr (bucket src);
+    if enabled lvl then (Atomic.get sink) lvl ~src (msg ())
 
   let debug ~src msg = event Debug ~src msg
   let info ~src msg = event Info ~src msg

@@ -111,10 +111,6 @@ module Log : sig
   val warn : src:string -> (unit -> string) -> unit
   val error : src:string -> (unit -> string) -> unit
 
-  (** [emit] renders unconditionally (still counted) — the escape hatch
-      behind legacy per-module debug environment variables. *)
-  val emit : level -> src:string -> (unit -> string) -> unit
-
   (** Per-source event counts since the last {!reset_counts}, sorted by
       source, zero entries omitted. *)
   val counts : unit -> (string * int) list

@@ -7,6 +7,12 @@ module Simplex = Optrouter_ilp.Simplex
 module Dense = Optrouter_ilp.Dense_simplex
 module Milp = Optrouter_ilp.Milp
 module Lp_file = Optrouter_ilp.Lp_file
+module Clip = Optrouter_grid.Clip
+module Graph = Optrouter_grid.Graph
+module Tech = Optrouter_tech.Tech
+module Rules = Optrouter_tech.Rules
+module Formulate = Optrouter_core.Formulate
+module Clipfile = Optrouter_clipfile.Clipfile
 
 let check_float = Alcotest.(check (float 1e-6))
 
@@ -385,7 +391,11 @@ let prop_feasible_lp_solved =
     (fun lp ->
       let res = Simplex.solve lp in
       res.status = Simplex.Optimal
-      && Result.is_ok (Simplex.verify_optimal lp res))
+      && Result.is_ok (Simplex.verify_optimal lp res)
+      &&
+      match Dense.solve lp with
+      | Dense.Optimal (obj, _) -> Float.abs (res.objective -. obj) <= 1e-5
+      | Dense.Infeasible | Dense.Unbounded -> false)
 
 (* ------------------------------------------------------------------ *)
 (* MILP                                                                *)
@@ -1009,59 +1019,52 @@ let test_simplex_warm_dual_btran_saved () =
     "dual pivots saved a BTRAN each" true (r2.btran_saved >= 1)
 
 (* ------------------------------------------------------------------ *)
-(* Pricing modes, bound flips and name-keyed basis warm starts         *)
+(* Pricing, bound flips and name-keyed basis warm starts               *)
 (* ------------------------------------------------------------------ *)
 
-let solve_pricing pricing lp =
-  Simplex.solve ~params:(Simplex.make_params ~pricing ()) lp
-
-(* Devex/partial pricing changes the pivot order, never the answer: both
-   modes must agree on status, prove the same objective, and devex optima
-   must pass the independent certificate check. *)
-let check_pricing_identity label lp =
-  let full = solve_pricing Simplex.Dantzig lp in
-  let devex = solve_pricing Simplex.Devex lp in
-  Alcotest.(check bool)
-    (label ^ " same status") true (full.Simplex.status = devex.Simplex.status);
-  match full.Simplex.status with
-  | Simplex.Optimal ->
-    check_float (label ^ " same objective") full.Simplex.objective
-      devex.Simplex.objective;
-    Alcotest.(check bool)
-      (label ^ " devex certificate") true
-      (Result.is_ok (Simplex.verify_optimal lp devex))
-  | Simplex.Infeasible | Simplex.Unbounded -> ()
-
-let test_pricing_identity_corpus () =
+(* The LP relaxation of every fixture MILP: same verdict and objective as
+   the dense oracle, and optima pass the independent certificate check. *)
+let test_corpus_relaxations () =
   List.iter
     (fun (path, _) ->
       match Lp_file.read_file (fixture path) with
       | Error m -> Alcotest.fail (path ^ ": " ^ m)
-      | Ok lp -> check_pricing_identity path lp)
+      | Ok lp -> (
+        let res = Simplex.solve lp in
+        match (res.Simplex.status, Dense.solve lp) with
+        | Simplex.Optimal, Dense.Optimal (obj, _) ->
+          check_float (path ^ " oracle objective") obj res.Simplex.objective;
+          Alcotest.(check bool)
+            (path ^ " certificate") true
+            (Result.is_ok (Simplex.verify_optimal lp res))
+        | Simplex.Infeasible, Dense.Infeasible -> ()
+        | _, _ -> Alcotest.fail (path ^ ": verdict differs from the oracle")))
     corpus
 
-let prop_pricing_identity =
-  QCheck.Test.make ~name:"devex pricing proves the dantzig objective"
-    ~count:500 arbitrary_lp (fun lp ->
-      let full = solve_pricing Simplex.Dantzig lp in
-      let devex = solve_pricing Simplex.Devex lp in
-      full.Simplex.status = devex.Simplex.status
-      && (full.Simplex.status <> Simplex.Optimal
-          || Float.abs (full.Simplex.objective -. devex.Simplex.objective)
-             <= 1e-5
-             && Result.is_ok (Simplex.verify_optimal lp devex)))
-
-let prop_pricing_identity_feasible =
-  QCheck.Test.make
-    ~name:"devex solves constructed-feasible LPs to the dantzig optimum"
-    ~count:500
-    (QCheck.make ~print:(Format.asprintf "%a" Lp.pp) feasible_lp_gen)
-    (fun lp ->
-      let full = solve_pricing Simplex.Dantzig lp in
-      let devex = solve_pricing Simplex.Devex lp in
-      devex.Simplex.status = Simplex.Optimal
-      && Float.abs (full.Simplex.objective -. devex.Simplex.objective) <= 1e-5
-      && Result.is_ok (Simplex.verify_optimal lp devex))
+(* The quickstart clip's wirelength roots under N28-12T stall long enough
+   to fall back to Bland's rule: once (from iteration 649) under RULE1,
+   four times under RULE4. Any change to the fallback's entering choice
+   therefore shows in these pivot counts. *)
+let test_bland_fallback_roots () =
+  let clip =
+    match Clipfile.read_file (fixture "../data/samples.clips") with
+    | Error e -> Alcotest.failf "samples.clips: %s" e
+    | Ok clips -> List.find (fun c -> c.Clip.c_name = "quickstart") clips
+  in
+  List.iter
+    (fun (k, iterations, flips, objective) ->
+      let rules = Rules.rule k in
+      let g = Graph.build ~tech:Tech.n28_12t ~rules clip in
+      let res = Simplex.solve (Formulate.lp (Formulate.build ~rules g)) in
+      let label = Printf.sprintf "quickstart RULE%d" k in
+      Alcotest.(check bool)
+        (label ^ " optimal") true
+        (res.Simplex.status = Simplex.Optimal);
+      Alcotest.(check int) (label ^ " iterations") iterations
+        res.Simplex.iterations;
+      Alcotest.(check int) (label ^ " bound flips") flips res.Simplex.bound_flips;
+      check_float (label ^ " objective") objective res.Simplex.objective)
+    [ (1, 1436, 0, 35.0); (4, 6330, 21, 35.0) ]
 
 let test_simplex_bound_flip () =
   (* min -x1 - x2 s.t. x1 + x2 <= 10, x in [0,1]^2: the ratio test is
@@ -1210,13 +1213,13 @@ let () =
           qtest prop_simplex_matches_dense;
           qtest prop_simplex_certificate;
           qtest prop_feasible_lp_solved;
-          qtest prop_pricing_identity;
-          qtest prop_pricing_identity_feasible;
         ] );
       ( "simplex-pricing",
         [
-          Alcotest.test_case "pricing identity on the fixture corpus" `Quick
-            test_pricing_identity_corpus;
+          Alcotest.test_case "fixture relaxations match the oracle" `Quick
+            test_corpus_relaxations;
+          Alcotest.test_case "Bland fallback pins quickstart roots" `Quick
+            test_bland_fallback_roots;
           Alcotest.test_case "bound-flip ratio test" `Quick
             test_simplex_bound_flip;
           Alcotest.test_case "basis assoc round trip" `Quick
