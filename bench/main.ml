@@ -712,6 +712,13 @@ let section_solver () =
                 end;
                 Some same
             in
+            (* none for a root that needed no iteration: a non-finite
+               float is not valid JSON *)
+            let ms_per_iter =
+              if res.Simplex.iterations > 0 then
+                Some (w *. 1e3 /. float_of_int res.Simplex.iterations)
+              else None
+            in
             if res.Simplex.status = Simplex.Optimal && not verified then begin
               incr mismatches;
               Printf.printf "ROOT-LP UNVERIFIED: %s %s %s\n" clip.Clip.c_name
@@ -730,6 +737,7 @@ let section_solver () =
                 | `Reused -> "reused"
                 | `Repaired -> "repaired");
                 Printf.sprintf "%.3f" (w *. 1e3);
+                Option.fold ms_per_iter ~none:"-" ~some:(Printf.sprintf "%.3f");
                 Printf.sprintf "%g" res.Simplex.objective;
                 (if verified then "yes" else "-");
               ]
@@ -747,9 +755,13 @@ let section_solver () =
                       | `Reused -> "reused"
                       | `Repaired -> "repaired") );
                   ("wall_s", Report.Json.Float w);
-                  ("objective", Report.Json.Float res.Simplex.objective);
-                  ("verified", Report.Json.Bool verified);
                 ]
+                @ Option.fold ms_per_iter ~none:[] ~some:(fun v ->
+                      [ ("ms_per_iter", Report.Json.Float v) ])
+                @ [
+                    ("objective", Report.Json.Float res.Simplex.objective);
+                    ("verified", Report.Json.Bool verified);
+                  ]
                 @ Option.fold identical ~none:[] ~some:(fun same ->
                       [ ("objective_identical", Report.Json.Bool same) ])) )
           in
@@ -895,7 +907,7 @@ let section_solver () =
        ~header:
          [
            "tech"; "rule"; "mode"; "status"; "iters"; "flips"; "warm";
-           "wall ms"; "objective"; "verified";
+           "wall ms"; "ms/iter"; "objective"; "verified";
          ]
        (List.rev !root_rows));
   ensure_results_dir ();

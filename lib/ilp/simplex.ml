@@ -88,6 +88,8 @@ module Instance = struct
     base_up : float array;
     cost : float array;
     rhs : float array;
+    every_row : int array;
+        (** [0 .. m-1]: the row list per-pivot eta pushes walk *)
   }
 
   let nvars t = t.n
@@ -142,7 +144,8 @@ module Instance = struct
         base_up.(n + r) <- up)
       lp.rows;
     let rhs = Array.map (fun (r : Lp.row) -> r.rhs) lp.rows in
-    { lp; n; m; ncols; cidx; cval; base_lo; base_up; cost; rhs }
+    let every_row = Array.init m Fun.id in
+    { lp; n; m; ncols; cidx; cval; base_lo; base_up; cost; rhs; every_row }
 
   type st = {
     inst : t;
@@ -155,6 +158,9 @@ module Instance = struct
     xb : float array;
     w : float array;
     y : float array;
+    pat : int array;
+        (** rows a refactorisation placement has touched in [w] *)
+    mark : Bytes.t;  (** ['\001'] exactly on the rows listed in [pat] *)
     (* Eta file of the product-form inverse, stored as a flat pool of
        unboxed arrays rather than an array of per-eta records: eta [k]
        pivots on row [e_rows.(k)] with diagonal [e_pivs.(k)] (already
@@ -193,18 +199,38 @@ module Instance = struct
   }
 
   (* Build and push the eta for a pivot on row [r] of the FTRANned column
-     held in [st.w]. Identity columns (pivot 1, no off-pivot entries)
-     produce no eta at all. Any eta push is a basis change, so the cached
-     phase-2 duals are invalidated here. *)
-  let push_eta_from_w st r =
-    let m = st.inst.m in
+     held in [st.w], whose nonzeros all lie on the ascending row list
+     [rows.(0 .. nrows-1)]: every row for a per-pivot push, the placement
+     pattern for refactorisation. The off-pivot entries are stored in list
+     order, so both callers produce the same eta for the same column.
+     Identity columns (pivot 1, no off-pivot entries) produce no eta at
+     all. Any eta push is a basis change, so the cached phase-2 duals are
+     invalidated here. *)
+  let push_eta st rows nrows r =
     let w = st.w in
     let piv = w.(r) in
-    let cnt = ref 0 in
-    for i = 0 to m - 1 do
-      if i <> r && Float.abs (Array.unsafe_get w i) > zero_tol then incr cnt
+    let off = st.e_start.(st.neta) in
+    if off + nrows > Array.length st.e_idx then begin
+      let cap = max 256 (max (off + nrows) (2 * Array.length st.e_idx)) in
+      let idx = Array.make cap 0 and vl = Array.make cap 0.0 in
+      Array.blit st.e_idx 0 idx 0 off;
+      Array.blit st.e_val 0 vl 0 off;
+      st.e_idx <- idx;
+      st.e_val <- vl
+    end;
+    let e_idx = st.e_idx and e_val = st.e_val in
+    let p = ref off in
+    for k = 0 to nrows - 1 do
+      let i = Array.unsafe_get rows k in
+      let wi = Array.unsafe_get w i in
+      if i <> r && Float.abs wi > zero_tol then begin
+        Array.unsafe_set e_idx !p i;
+        Array.unsafe_set e_val !p (-.wi /. piv);
+        incr p
+      end
     done;
-    if !cnt > 0 || Float.abs (piv -. 1.0) > zero_tol then begin
+    let cnt = !p - off in
+    if cnt > 0 || Float.abs (piv -. 1.0) > zero_tol then begin
       if st.neta = Array.length st.e_rows then begin
         let cap = max 64 (2 * st.neta) in
         let rows = Array.make cap 0 and pivs = Array.make cap 0.0 in
@@ -216,31 +242,11 @@ module Instance = struct
         st.e_pivs <- pivs;
         st.e_start <- starts
       end;
-      let off = st.e_start.(st.neta) in
-      if off + !cnt > Array.length st.e_idx then begin
-        let cap = max 256 (max (off + !cnt) (2 * Array.length st.e_idx)) in
-        let idx = Array.make cap 0 and vl = Array.make cap 0.0 in
-        Array.blit st.e_idx 0 idx 0 off;
-        Array.blit st.e_val 0 vl 0 off;
-        st.e_idx <- idx;
-        st.e_val <- vl
-      end;
-      let p = ref off in
-      for i = 0 to m - 1 do
-        if i <> r then begin
-          let wi = Array.unsafe_get w i in
-          if Float.abs wi > zero_tol then begin
-            Array.unsafe_set st.e_idx !p i;
-            Array.unsafe_set st.e_val !p (-.wi /. piv);
-            incr p
-          end
-        end
-      done;
       st.e_rows.(st.neta) <- r;
       st.e_pivs.(st.neta) <- 1.0 /. piv;
       st.neta <- st.neta + 1;
       st.e_start.(st.neta) <- !p;
-      st.eta_nnz_count <- st.eta_nnz_count + 1 + !cnt
+      st.eta_nnz_count <- st.eta_nnz_count + 1 + cnt
     end;
     st.y_valid <- false
 
@@ -260,6 +266,35 @@ module Instance = struct
         done
       end
     done
+
+  (* [ftran] on [st.w] for a column whose nonzero rows are listed in
+     [st.pat.(0 .. np-1)] and marked in [st.mark]: the same arithmetic in
+     the same order, plus recording each row an eta fills in. Returns the
+     new pattern length. *)
+  let ftran_pattern st np =
+    let e_rows = st.e_rows and e_pivs = st.e_pivs and e_start = st.e_start in
+    let e_idx = st.e_idx and e_val = st.e_val in
+    let v = st.w and pat = st.pat and mark = st.mark in
+    let np = ref np in
+    for k = 0 to st.neta - 1 do
+      let r = Array.unsafe_get e_rows k in
+      let t = Array.unsafe_get v r in
+      if t <> 0.0 then begin
+        Array.unsafe_set v r (Array.unsafe_get e_pivs k *. t);
+        let stop = Array.unsafe_get e_start (k + 1) in
+        for p = Array.unsafe_get e_start k to stop - 1 do
+          let i = Array.unsafe_get e_idx p in
+          Array.unsafe_set v i
+            (Array.unsafe_get v i +. (Array.unsafe_get e_val p *. t));
+          if Bytes.unsafe_get mark i = '\000' then begin
+            Bytes.unsafe_set mark i '\001';
+            Array.unsafe_set pat !np i;
+            incr np
+          end
+        done
+      end
+    done;
+    !np
 
   let btran st v =
     let e_rows = st.e_rows and e_pivs = st.e_pivs and e_start = st.e_start in
@@ -321,12 +356,40 @@ module Instance = struct
     ftran st r;
     Array.blit r 0 st.xb 0 m
 
+  (* Sort [a.(0 .. len-1)] ascending in place. Most placement patterns
+     are a few rows long, where insertion sort is cheapest; the rare long
+     ones (thousands of rows on dense bases) take the library sort. *)
+  let sort_prefix a len =
+    if len <= 32 then
+      for i = 1 to len - 1 do
+        let x = a.(i) in
+        let k = ref (i - 1) in
+        while !k >= 0 && a.(!k) > x do
+          a.(!k + 1) <- a.(!k);
+          decr k
+        done;
+        a.(!k + 1) <- x
+      done
+    else begin
+      let s = Array.sub a 0 len in
+      Array.sort Int.compare s;
+      Array.blit s 0 a 0 len
+    end
+
   (* Rebuild the eta file from the current basis columns, repairing a
      singular basis by substituting logical slacks. Columns are processed
-     sparsest-first (a poor man's Markowitz ordering), and unit slack
-     columns that land on an unassigned row produce no eta at all. *)
+     sparsest-first (a poor man's Markowitz ordering). Placing a column
+     costs its FTRAN's nonzeros, not O(m): [w] is cleared once and kept
+     zero between placements, and [pat] lists the rows each placement
+     touches. A slack whose row is still unassigned takes that row
+     directly: no eta pivots on an unassigned row, so its FTRAN is its own
+     unit column and it pushes no eta. Any other column is scattered and
+     FTRANned with its pattern recorded; the pivot search (first strict
+     maximum over unassigned rows) and the eta push then walk the pattern
+     in ascending row order, exactly as a dense scan of [w] would, so the
+     eta file is bit-identical to one built by dense passes. *)
   let refactor st =
-    let m = st.inst.m in
+    let n = st.inst.n and m = st.inst.m in
     st.neta <- 0;
     st.eta_nnz_count <- 0;
     let assigned = Array.make m false in
@@ -336,27 +399,52 @@ module Instance = struct
         Int.compare (Array.length st.inst.cidx.(j1)) (Array.length st.inst.cidx.(j2)))
       old_cols;
     let dropped = ref [] in
+    let w = st.w and pat = st.pat and mark = st.mark in
+    Array.fill w 0 m 0.0;
+    let assign j r =
+      assigned.(r) <- true;
+      st.basic.(r) <- j;
+      st.vpos.(j) <- r;
+      st.vstat.(j) <- Basic
+    in
     let place j =
-      scatter_column st j st.w;
-      ftran st st.w;
-      let best = ref (-1) and best_mag = ref 0.0 in
-      for r = 0 to m - 1 do
-        if not assigned.(r) then begin
-          let mag = Float.abs st.w.(r) in
-          if mag > !best_mag then begin
-            best := r;
-            best_mag := mag
-          end
-        end
-      done;
-      if !best < 0 || !best_mag < pivot_tol then dropped := j :: !dropped
+      if j >= n && not assigned.(j - n) then assign j (j - n)
       else begin
-        let r = !best in
-        assigned.(r) <- true;
-        st.basic.(r) <- j;
-        st.vpos.(j) <- r;
-        st.vstat.(j) <- Basic;
-        push_eta_from_w st r
+        let idx = st.inst.cidx.(j) and vl = st.inst.cval.(j) in
+        let np = ref 0 in
+        for p = 0 to Array.length idx - 1 do
+          let i = idx.(p) in
+          w.(i) <- vl.(p);
+          (* a repeated row keeps its last value, as a dense scatter does *)
+          if Bytes.get mark i = '\000' then begin
+            Bytes.set mark i '\001';
+            pat.(!np) <- i;
+            incr np
+          end
+        done;
+        let np = ftran_pattern st !np in
+        sort_prefix pat np;
+        let best = ref (-1) and best_mag = ref 0.0 in
+        for k = 0 to np - 1 do
+          let r = pat.(k) in
+          if not assigned.(r) then begin
+            let mag = Float.abs w.(r) in
+            if mag > !best_mag then begin
+              best := r;
+              best_mag := mag
+            end
+          end
+        done;
+        if !best < 0 || !best_mag < pivot_tol then dropped := j :: !dropped
+        else begin
+          assign j !best;
+          push_eta st pat np !best
+        end;
+        for k = 0 to np - 1 do
+          let i = pat.(k) in
+          w.(i) <- 0.0;
+          Bytes.set mark i '\000'
+        done
       end
     in
     Array.iter (fun j -> st.vpos.(j) <- -1) old_cols;
@@ -368,16 +456,11 @@ module Instance = struct
         st.vstat.(j) <- At_lower;
         normalize_nonbasic st j)
       !dropped;
-    (* ...and let slacks of unassigned rows take their place. *)
+    (* ...and let slacks of unassigned rows take their place. A basic
+       slack never reaches this loop: it either took its own row or found
+       the row already assigned. *)
     for r = 0 to m - 1 do
-      if not assigned.(r) then begin
-        let s = st.inst.n + r in
-        if st.vstat.(s) = Basic then
-          raise (Numerical_failure "refactor: slack already basic on unassigned row");
-        place s;
-        if st.vpos.(s) < 0 then
-          raise (Numerical_failure "refactor: singular basis not repairable")
-      end
+      if not assigned.(r) then assign (n + r) r
     done;
     st.pivots_since_refactor <- 0;
     st.nnz_at_refactor <- st.eta_nnz_count;
@@ -723,7 +806,7 @@ module Instance = struct
       let wl = Float.max 1.0 (Float.max 1.0 st.dw.(e.q) /. (piv *. piv)) in
       if wl > 1e10 then Array.fill st.dw 0 (Array.length st.dw) 1.0
       else st.dw.(leaving) <- wl;
-      push_eta_from_w st r;
+      push_eta st st.inst.every_row st.inst.m r;
       st.vstat.(e.q) <- Basic;
       st.vpos.(e.q) <- r;
       st.basic.(r) <- e.q;
@@ -887,7 +970,7 @@ module Instance = struct
                 in
                 if wl > 1e10 then Array.fill st.dw 0 (Array.length st.dw) 1.0
                 else st.dw.(jl) <- wl;
-                push_eta_from_w st r;
+                push_eta st st.inst.every_row m r;
                 st.vstat.(q) <- Basic;
                 st.vpos.(q) <- r;
                 st.basic.(r) <- q;
@@ -969,6 +1052,8 @@ module Instance = struct
         xb = Array.make m 0.0;
         w = Array.make m 0.0;
         y = Array.make m 0.0;
+        pat = Array.make m 0;
+        mark = Bytes.make m '\000';
         e_rows = [||];
         e_pivs = [||];
         e_start = [| 0 |];

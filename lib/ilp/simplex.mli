@@ -4,14 +4,18 @@
     design: the basis inverse is maintained as a sequence of eta matrices
     (stored as a flat pool of unboxed arrays so the FTRAN/BTRAN kernels
     stream contiguous memory), refactorised periodically from the basis
-    columns for numerical hygiene. Rows are turned into equalities with one
-    (bounded) logical slack per row, so the initial all-slack basis always
-    exists; primal infeasibility of a starting basis is driven out by a
-    composite phase-1 objective (piecewise-linear sum of bound violations
-    of basic variables), which also makes warm starts from an arbitrary
-    basis possible — this is what {!Milp} relies on between branch-and-
-    bound nodes, and what {!Basis} extends across structurally different
-    LPs via name-keyed remapping.
+    columns for numerical hygiene. Refactorisation places each column at
+    the cost of its FTRAN's nonzeros rather than O(m): a slack on a still
+    unassigned row takes it directly, and every other column's pivot
+    search and eta push walk its FTRAN pattern in ascending row order,
+    which gives the same eta file as a dense scan. Rows are turned into
+    equalities with one (bounded) logical slack per row, so the initial
+    all-slack basis always exists; primal infeasibility of a starting
+    basis is driven out by a composite phase-1 objective (piecewise-linear
+    sum of bound violations of basic variables), which also makes warm
+    starts from an arbitrary basis possible — this is what {!Milp} relies
+    on between branch-and-bound nodes, and what {!Basis} extends across
+    structurally different LPs via name-keyed remapping.
 
     Pricing is devex over a partial candidate scan (reference weights
     updated per pivot, wrap-around chunked scan). After a long degenerate

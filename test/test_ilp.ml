@@ -397,6 +397,54 @@ let prop_feasible_lp_solved =
       | Dense.Optimal (obj, _) -> Float.abs (res.objective -. obj) <= 1e-5
       | Dense.Infeasible | Dense.Unbounded -> false)
 
+(* A random warm basis with exactly [m] basics: a random choice of [m]
+   columns in a random order, every other column nonbasic at a random
+   bound. Such bases are often singular, so intake refactorisation has to
+   drop columns and let slacks take their rows, and a basic slack can find
+   its own row already taken by a structural column. *)
+let warm_basis_gen lp =
+  let open QCheck.Gen in
+  let n = Lp.nvars lp and m = Lp.nrows lp in
+  let* cols = shuffle_l (List.init (n + m) Fun.id) in
+  let* at_upper = array_size (return (n + m)) bool in
+  let basic = Array.of_list (List.filteri (fun i _ -> i < m) cols) in
+  let vstat =
+    Array.map (fun u -> if u then Simplex.At_upper else Simplex.At_lower) at_upper
+  in
+  Array.iter (fun j -> vstat.(j) <- Simplex.Basic) basic;
+  return ({ Simplex.vstat; basic } : Simplex.basis)
+
+let prop_refactor_repairs_warm_bases =
+  let gen =
+    let open QCheck.Gen in
+    let* lp = oneof [ random_lp_gen; feasible_lp_gen ] in
+    let* basis = warm_basis_gen lp in
+    return (lp, basis)
+  in
+  let print (lp, (b : Simplex.basis)) =
+    Format.asprintf "%a@.basic = [%s]" Lp.pp lp
+      (String.concat "; " (Array.to_list (Array.map string_of_int b.basic)))
+  in
+  (* A slack finds its row taken only when a one-nonzero structural column
+     on that row is placed first, about one case in 170, so the property
+     runs many (tiny) cases. *)
+  QCheck.Test.make ~name:"refactor repairs random singular warm bases"
+    ~count:10_000 (QCheck.make ~print gen) (fun (lp, basis) ->
+      (* Refactorising after every pivot re-runs column placement on
+         every basis the solve passes through. *)
+      let refactor = { Simplex.default_refactor with Simplex.interval = 1 } in
+      let res =
+        Simplex.Instance.solve
+          ~params:(Simplex.make_params ~basis ~refactor ())
+          (Simplex.Instance.create lp)
+      in
+      match (res.status, Dense.solve lp) with
+      | Simplex.Optimal, Dense.Optimal (obj, _) ->
+        Float.abs (res.objective -. obj) <= 1e-5
+        && Result.is_ok (Simplex.verify_optimal lp res)
+      | Simplex.Infeasible, Dense.Infeasible -> true
+      | _, _ -> false)
+
 (* ------------------------------------------------------------------ *)
 (* MILP                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -1041,21 +1089,25 @@ let test_corpus_relaxations () =
         | _, _ -> Alcotest.fail (path ^ ": verdict differs from the oracle")))
     corpus
 
-(* The quickstart clip's wirelength roots under N28-12T stall long enough
-   to fall back to Bland's rule: once (from iteration 649) under RULE1,
-   four times under RULE4. Any change to the fallback's entering choice
-   therefore shows in these pivot counts. *)
-let test_bland_fallback_roots () =
+(* The wirelength LP of the quickstart clip under RULEk (N28-12T). *)
+let quickstart_lp k =
   let clip =
     match Clipfile.read_file (fixture "../data/samples.clips") with
     | Error e -> Alcotest.failf "samples.clips: %s" e
     | Ok clips -> List.find (fun c -> c.Clip.c_name = "quickstart") clips
   in
+  let rules = Rules.rule k in
+  Formulate.lp
+    (Formulate.build ~rules (Graph.build ~tech:Tech.n28_12t ~rules clip))
+
+(* The quickstart clip's wirelength roots under N28-12T stall long enough
+   to fall back to Bland's rule: once (from iteration 649) under RULE1,
+   four times under RULE4. Any change to the fallback's entering choice
+   therefore shows in these pivot counts. *)
+let test_bland_fallback_roots () =
   List.iter
     (fun (k, iterations, flips, objective) ->
-      let rules = Rules.rule k in
-      let g = Graph.build ~tech:Tech.n28_12t ~rules clip in
-      let res = Simplex.solve (Formulate.lp (Formulate.build ~rules g)) in
+      let res = Simplex.solve (quickstart_lp k) in
       let label = Printf.sprintf "quickstart RULE%d" k in
       Alcotest.(check bool)
         (label ^ " optimal") true
@@ -1065,6 +1117,46 @@ let test_bland_fallback_roots () =
       Alcotest.(check int) (label ^ " bound flips") flips res.Simplex.bound_flips;
       check_float (label ^ " objective") objective res.Simplex.objective)
     [ (1, 1436, 0, 35.0); (4, 6330, 21, 35.0) ]
+
+(* The quickstart clip's RULE1 optimal basis, remapped by name onto the
+   RULE3, RULE4, RULE6 and RULE12 encodings (N28-12T), as the sweep's warm
+   roots do. Intake refactorisation of each remapped basis decides the
+   pivots that follow, so any change to column placement shows here:
+   RULE4 and RULE12 re-optimise the factorised basis, while RULE3 and the
+   infeasible RULE6 abandon it and restart cold. Objectives are pinned
+   bit for bit. *)
+let test_warm_root_pins () =
+  let lp1 = quickstart_lp 1 in
+  let assoc = Simplex.Basis.to_assoc lp1 (Simplex.solve lp1).Simplex.basis in
+  let warm_name = function
+    | `Cold -> "cold"
+    | `Reused -> "reused"
+    | `Repaired -> "repaired"
+  in
+  List.iter
+    (fun (k, status, iterations, flips, warm, objective) ->
+      let lp = quickstart_lp k in
+      let basis, _ = Simplex.Basis.of_assoc lp assoc in
+      let res =
+        Simplex.Instance.solve
+          ~params:(Simplex.make_params ~basis ())
+          (Simplex.Instance.create lp)
+      in
+      let label = Printf.sprintf "quickstart warm RULE%d" k in
+      Alcotest.(check bool) (label ^ " status") true (res.Simplex.status = status);
+      Alcotest.(check int) (label ^ " iterations") iterations
+        res.Simplex.iterations;
+      Alcotest.(check int) (label ^ " bound flips") flips res.Simplex.bound_flips;
+      Alcotest.(check string) (label ^ " warm") warm (warm_name res.Simplex.warm);
+      Alcotest.(check string)
+        (label ^ " objective") objective
+        (Printf.sprintf "%h" res.Simplex.objective))
+    [
+      (3, Simplex.Optimal, 4184, 1949, "cold", "0x1.1cp+5");
+      (4, Simplex.Optimal, 3, 0, "reused", "0x1.18p+5");
+      (6, Simplex.Infeasible, 3230, 0, "cold", "0x1.0392492492492p+6");
+      (12, Simplex.Optimal, 17, 0, "reused", "0x1.18p+5");
+    ]
 
 let test_simplex_bound_flip () =
   (* min -x1 - x2 s.t. x1 + x2 <= 10, x in [0,1]^2: the ratio test is
@@ -1213,6 +1305,7 @@ let () =
           qtest prop_simplex_matches_dense;
           qtest prop_simplex_certificate;
           qtest prop_feasible_lp_solved;
+          qtest prop_refactor_repairs_warm_bases;
         ] );
       ( "simplex-pricing",
         [
@@ -1220,6 +1313,8 @@ let () =
             test_corpus_relaxations;
           Alcotest.test_case "Bland fallback pins quickstart roots" `Quick
             test_bland_fallback_roots;
+          Alcotest.test_case "warm-root pins for remapped quickstart bases" `Quick
+            test_warm_root_pins;
           Alcotest.test_case "bound-flip ratio test" `Quick
             test_simplex_bound_flip;
           Alcotest.test_case "basis assoc round trip" `Quick
