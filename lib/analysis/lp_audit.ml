@@ -284,13 +284,10 @@ let expected_families ~(rules : Rules.t) ~(options : Formulate.options)
   and nz = g.clip.Clip.layers in
   let ngrid = cols * rows * nz in
   let nnets = Array.length g.nets in
-  let allowed k gid =
-    match g.edges.(gid).Graph.net_only with None -> true | Some k' -> k = k'
-  in
   let edge_allowed_by_any gid =
     let ok = ref false in
     for k = 0 to nnets - 1 do
-      if allowed k gid then ok := true
+      if Graph.allowed g k gid then ok := true
     done;
     !ok
   in
@@ -303,7 +300,7 @@ let expected_families ~(rules : Rules.t) ~(options : Formulate.options)
   let nets_at v =
     let ks = ref [] in
     for k = 0 to nnets - 1 do
-      if Array.exists (fun (gid, _) -> allowed k gid) g.adj.(v) then
+      if Array.exists (fun (gid, _) -> Graph.allowed g k gid) g.adj.(v) then
         ks := k :: !ks
     done;
     !ks
@@ -381,7 +378,8 @@ let expected_families ~(rules : Rules.t) ~(options : Formulate.options)
               (fun (gid2, _) ->
                 if not (List.mem gid2 rep_edges) then
                   for k' = 0 to nnets - 1 do
-                    if k' <> k && allowed k' gid2 then vsblk_witness := true
+                    if k' <> k && Graph.allowed g k' gid2 then
+                      vsblk_witness := true
                   done)
               g.adj.(mv))
           members
@@ -407,13 +405,13 @@ let expected_families ~(rules : Rules.t) ~(options : Formulate.options)
         | Graph.Via _ | Graph.Shape_lower _ | Graph.Shape_upper _ | Graph.Access
           -> true
         | Graph.Wire _ -> false)
-        && allowed k gid)
+        && Graph.allowed g k gid)
       g.adj.(v)
   in
   (* side 0 = from the low-coordinate neighbour, 1 = from the high one *)
   let p_eligible k v side =
     let wire = if side = 0 then wire_low.(v) else wire_high.(v) in
-    wire >= 0 && allowed k wire && vialike_allowed v k
+    wire >= 0 && Graph.allowed g k wire && vialike_allowed v k
   in
   let p_side_hot v side =
     let hot = ref false in

@@ -62,11 +62,6 @@ let arc_out g edge_id dir v =
   let e = g.Graph.edges.(edge_id) in
   if dir = 0 then e.Graph.u = v else e.Graph.v = v
 
-let allowed (g : Graph.t) k edge_id =
-  match g.edges.(edge_id).Graph.net_only with
-  | None -> true
-  | Some k' -> k = k'
-
 (* SADP side convention: From_low is the paper's p_l (the wire arrives from
    the low-coordinate side along the preferred direction, so the line end
    at this vertex points high); From_high is p_r. *)
@@ -119,7 +114,7 @@ let build ?(options = default_options) ~(rules : Rules.t) (g : Graph.t) =
   for k = 0 to nnets - 1 do
     let nt = sinks k in
     for gid = 0 to nedges - 1 do
-      if allowed g k gid then begin
+      if Graph.allowed g k gid then begin
         let cost = obj_coeff gid in
         for dir = 0 to 1 do
           let suffix = Printf.sprintf "n%d_g%d_d%d" k gid dir in
@@ -167,7 +162,7 @@ let build ?(options = default_options) ~(rules : Rules.t) (g : Graph.t) =
     let terms = ref [] in
     for k = 0 to nnets - 1 do
       let skip = match except with Some k' -> k = k' | None -> false in
-      if (not skip) && allowed g k gid then
+      if (not skip) && Graph.allowed g k gid then
         terms := (e.(idx k gid 0), 1.0) :: (e.(idx k gid 1), 1.0) :: !terms
     done;
     !terms
@@ -197,7 +192,7 @@ let build ?(options = default_options) ~(rules : Rules.t) (g : Graph.t) =
           let terms = ref [] in
           Array.iter
             (fun (gid, _other) ->
-              if allowed g k gid then
+              if Graph.allowed g k gid then
                 for dir = 0 to 1 do
                   let sign = if arc_out g gid dir v then 1.0 else -1.0 in
                   terms := (f.(fidx k gid dir slot), sign) :: !terms
@@ -232,7 +227,7 @@ let build ?(options = default_options) ~(rules : Rules.t) (g : Graph.t) =
         for k = 0 to nnets - 1 do
           let incident =
             Array.to_list g.adj.(v)
-            |> List.filter (fun (gid, _) -> allowed g k gid)
+            |> List.filter (fun (gid, _) -> Graph.allowed g k gid)
           in
           if incident <> [] then begin
             let u =
@@ -300,7 +295,7 @@ let build ?(options = default_options) ~(rules : Rules.t) (g : Graph.t) =
         (fun gid ->
           let terms = ref [] in
           for k = 0 to nnets - 1 do
-            if allowed g k gid then
+            if Graph.allowed g k gid then
               terms := (e.(idx k gid 0), 1.0) :: (e.(idx k gid 1), 1.0) :: !terms
           done;
           !terms)
@@ -467,7 +462,7 @@ let build ?(options = default_options) ~(rules : Rules.t) (g : Graph.t) =
            match g.edges.(gid).Graph.kind with
            | Graph.Via _ | Graph.Shape_lower _ | Graph.Shape_upper _
            | Graph.Access ->
-             if allowed g k gid then Some gid else None
+             if Graph.allowed g k gid then Some gid else None
            | Graph.Wire _ -> None)
   in
   (* p variable per (net, grid vertex, side), created on demand. *)
@@ -483,7 +478,7 @@ let build ?(options = default_options) ~(rules : Rules.t) (g : Graph.t) =
   in
   let make_p k v side =
     let wire = match side with From_low -> wire_low.(v) | From_high -> wire_high.(v) in
-    if wire < 0 || not (allowed g k wire) then -1
+    if wire < 0 || not (Graph.allowed g k wire) then -1
     else begin
       match vialike v k with
       | [] -> -1
@@ -657,7 +652,7 @@ let decode t x =
     Array.init (Array.length g.nets) (fun k ->
         let edges = ref [] in
         for gid = nedges - 1 downto 0 do
-          if allowed g k gid then begin
+          if Graph.allowed g k gid then begin
             let used dir =
               let col = t.e.(((k * nedges) + gid) * 2 + dir) in
               col >= 0 && x.(col) > 0.5

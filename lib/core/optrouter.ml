@@ -195,7 +195,9 @@ let route_lagrangian ~config ?seed ~rules (g : Graph.t) ~start =
       | None -> Limit None
   in
   let seed_use =
-    match seed with None -> Seed_unused | Some _ -> Seed_incumbent
+    match seed with
+    | None -> Seed_unused
+    | Some _ -> if r.Lagrangian.seeded then Seed_incumbent else Seed_rejected
   in
   let stats =
     {

@@ -16,8 +16,12 @@
     {!Optrouter_lagrangian.Lagrangian}: per-net subproblems priced in
     parallel, a valid dual (lower) bound, and a DRC-certified feasible
     routing obtained by rounding — {e near-optimal}, never proven, with
-    the bound and gap reported in [stats.lagrangian]. Use it for clips
-    beyond the exact solver's reach (the paper-size 7×10×8 regime). *)
+    the bound and gap reported in [stats.lagrangian]. It is the fast
+    mode, not the only one for paper-size 7×10×8 clips: the exact path
+    proved 10 sampled RULE1 paper-size clips in 5.4–55 s each on a
+    2-core host. Lagrangian mode proves infeasibility only by
+    reachability; under RULE8, where the exact path proves sampled
+    paper-size clips unroutable in 12–18 s, it returns [Limit None]. *)
 type solve_mode = Exact | Lagrangian
 
 (** Decomposition-mode counters, present iff the solve ran with
@@ -49,10 +53,12 @@ type seed_use =
           proven optimum without building or solving any ILP *)
   | Seed_incumbent
       (** seed encoded onto this formulation and handed to branch and
-          bound as the starting incumbent *)
+          bound as the starting incumbent; in Lagrangian mode, seed
+          DRC-clean under these rules and taken as the initial incumbent *)
   | Seed_rejected
-      (** seed violates these rules and could not be encoded; the solve
-          fell back to the heuristic incumbent *)
+      (** seed violates these rules and could not be encoded (Lagrangian
+          mode: failed the DRC check); the solve fell back to the
+          heuristic incumbent *)
 
 type stats = {
   sizes : Formulate.sizes;

@@ -59,6 +59,9 @@ let site_index g ~x ~y ~z = ((z * g.clip.Clip.rows) + y) * g.clip.Clip.cols + x
 let num_edges g = Array.length g.edges
 let num_nets g = Array.length g.nets
 
+let allowed g k gid =
+  match g.edges.(gid).net_only with None -> true | Some k' -> k = k'
+
 let other_end _g e v =
   if e.u = v then e.v
   else begin

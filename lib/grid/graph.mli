@@ -86,6 +86,10 @@ val site_index : t -> x:int -> y:int -> z:int -> int
 val num_edges : t -> int
 val num_nets : t -> int
 
+(** [allowed g k e]: net [k] may route through edge [e] (every edge but
+    another net's pin access). *)
+val allowed : t -> int -> int -> bool
+
 (** [other_end g e v] is the endpoint of edge [e] that is not [v]. *)
 val other_end : t -> edge -> int -> int
 

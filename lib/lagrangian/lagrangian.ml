@@ -52,14 +52,10 @@ type t = {
   wall_s : float;
   rounding_attempts : int;
   rip_ups : int;
+  seeded : bool;
   workers : int;
   trace : iter_stat list;
 }
-
-let allowed_for (g : Graph.t) k gid =
-  match g.Graph.edges.(gid).Graph.net_only with
-  | None -> true
-  | Some k' -> k = k'
 
 (* ------------------------------------------------------------------ *)
 (* Reachability: the one infeasibility this mode can prove             *)
@@ -80,7 +76,7 @@ let reachable (g : Graph.t) =
             stack := rest;
             Array.iter
               (fun (gid, other) ->
-                if allowed_for g k gid && not seen.(other) then begin
+                if Graph.allowed g k gid && not seen.(other) then begin
                   seen.(other) <- true;
                   stack := other :: !stack
                 end)
@@ -274,309 +270,11 @@ let steiner_heuristic (g : Graph.t) ~allowed ~eprice ~vprice
 
 let price_net (g : Graph.t) ~eprice ~vprice k =
   let net = g.Graph.nets.(k) in
-  let allowed = allowed_for g k in
+  let allowed = Graph.allowed g k in
   if Array.length net.Graph.sinks = 0 then Some (0.0, [], true)
   else if Array.length net.Graph.sinks <= dp_sink_cap then
     steiner_exact g ~allowed ~eprice ~vprice net
   else steiner_heuristic g ~allowed ~eprice ~vprice net
-
-(* ------------------------------------------------------------------ *)
-(* Primal rounding: deterministic sequential routing with rip-up       *)
-(* ------------------------------------------------------------------ *)
-
-type rstate = {
-  rg : Graph.t;
-  rrules : Rules.t;
-  edge_owner : int array;
-  vertex_owner : int array;  (* grid vertices only *)
-  pin_owner : int array;  (* per z=0 grid vertex: net owning an access point *)
-  penalty : float array;  (* per edge, from violation-repair rounds *)
-  bias_e : float array;  (* edge multipliers: congestion prices *)
-  bias_v : float array;  (* grid-vertex multipliers *)
-  rngrid : int;
-}
-
-let grid_coords st v =
-  let cols = st.rg.Graph.clip.Clip.cols in
-  let rows = st.rg.Graph.clip.Clip.rows in
-  let z = v / (cols * rows) in
-  let rem = v mod (cols * rows) in
-  (rem mod cols, rem / cols, z)
-
-(* A via may not land next to any already-placed via (own or foreign)
-   under an adjacency restriction — same policy as the maze router. *)
-let via_placement_ok st gid =
-  let offsets () =
-    Rules.blocked_neighbour_offsets st.rrules.Rules.via_restriction
-  in
-  let cols = st.rg.Graph.clip.Clip.cols in
-  let rows = st.rg.Graph.clip.Clip.rows in
-  match st.rg.Graph.edges.(gid).Graph.kind with
-  | Graph.Wire _ | Graph.Shape_lower _ | Graph.Shape_upper _ -> true
-  | Graph.Access -> (
-    let offsets = offsets () in
-    offsets = []
-    ||
-    let e = st.rg.Graph.edges.(gid) in
-    let grid_end = if e.Graph.u < st.rngrid then e.Graph.u else e.Graph.v in
-    if grid_end >= cols * rows then true
-    else
-      let x, y, _ = grid_coords st grid_end in
-      List.for_all
-        (fun (dx, dy) ->
-          let x' = x + dx and y' = y + dy in
-          if x' < 0 || x' >= cols || y' < 0 || y' >= rows then true
-          else
-            List.for_all
-              (fun other -> st.edge_owner.(other) < 0)
-              st.rg.Graph.access_sites.((y' * cols) + x'))
-        offsets)
-  | Graph.Via _ ->
-    let offsets = offsets () in
-    offsets = []
-    ||
-    let x, y, z = grid_coords st st.rg.Graph.edges.(gid).Graph.u in
-    List.for_all
-      (fun (dx, dy) ->
-        let x' = x + dx and y' = y + dy in
-        if x' < 0 || x' >= cols || y' < 0 || y' >= rows then true
-        else
-          match st.rg.Graph.via_site.(((z * rows) + y') * cols + x') with
-          | None -> true
-          | Some other -> st.edge_owner.(other) < 0)
-      offsets
-
-let edge_usable st k gid dst =
-  allowed_for st.rg k gid
-  && st.edge_owner.(gid) < 0
-  && (dst >= st.rngrid
-     || st.vertex_owner.(dst) < 0
-     || st.vertex_owner.(dst) = k)
-  && (dst >= Array.length st.pin_owner
-     || st.pin_owner.(dst) < 0
-     || st.pin_owner.(dst) = k)
-  && via_placement_ok st gid
-
-(* Multi-source Dijkstra from the net's committed tree to the nearest
-   unreached sink, priced by base cost + repair penalty + multipliers. *)
-let rsearch st k sources targets =
-  let n = st.rg.Graph.nverts in
-  let dist = Array.make n infinity in
-  let prev_edge = Array.make n (-1) in
-  let q = Pqueue.create () in
-  List.iter
-    (fun v ->
-      dist.(v) <- 0.0;
-      Pqueue.push q 0.0 v)
-    sources;
-  let target_set = Hashtbl.create 4 in
-  List.iter (fun t -> Hashtbl.replace target_set t ()) targets;
-  let found = ref None in
-  (try
-     while not (Pqueue.is_empty q) do
-       let d = Pqueue.min_key q in
-       let v = Pqueue.pop q in
-       if d <= dist.(v) then begin
-         if Hashtbl.mem target_set v then begin
-           found := Some v;
-           raise Exit
-         end;
-         Array.iter
-           (fun (gid, other) ->
-             if edge_usable st k gid other then begin
-               let node_bias =
-                 if other < st.rngrid then st.bias_v.(other) else 0.0
-               in
-               let nd =
-                 d
-                 +. float_of_int st.rg.Graph.edges.(gid).Graph.cost
-                 +. st.penalty.(gid) +. st.bias_e.(gid) +. node_bias
-               in
-               if nd < dist.(other) then begin
-                 dist.(other) <- nd;
-                 prev_edge.(other) <- gid;
-                 Pqueue.push q nd other
-               end
-             end)
-           st.rg.Graph.adj.(v)
-       end
-     done
-   with Exit -> ());
-  match !found with
-  | None -> None
-  | Some t ->
-    let rec backtrack v acc =
-      let gid = prev_edge.(v) in
-      if gid < 0 then acc
-      else backtrack (Graph.other_end st.rg st.rg.Graph.edges.(gid) v) (gid :: acc)
-    in
-    Some (t, backtrack t [])
-
-let rcommit st k edges =
-  List.iter
-    (fun gid ->
-      st.edge_owner.(gid) <- k;
-      let e = st.rg.Graph.edges.(gid) in
-      if e.Graph.u < st.rngrid then st.vertex_owner.(e.Graph.u) <- k;
-      if e.Graph.v < st.rngrid then st.vertex_owner.(e.Graph.v) <- k)
-    edges
-
-let rrip st k =
-  Array.iteri
-    (fun gid owner -> if owner = k then st.edge_owner.(gid) <- -1)
-    st.edge_owner;
-  Array.iteri
-    (fun v owner -> if owner = k then st.vertex_owner.(v) <- -1)
-    st.vertex_owner
-
-let rroute_net st k =
-  let net = st.rg.Graph.nets.(k) in
-  let tree_vertices = ref [ net.Graph.source ] in
-  let tree_edges = ref [] in
-  let remaining = ref (Array.to_list net.Graph.sinks) in
-  let ok = ref true in
-  while !ok && !remaining <> [] do
-    match rsearch st k !tree_vertices !remaining with
-    | None -> ok := false
-    | Some (reached, path) ->
-      rcommit st k path;
-      tree_edges := path @ !tree_edges;
-      List.iter
-        (fun gid ->
-          let e = st.rg.Graph.edges.(gid) in
-          tree_vertices := e.Graph.u :: e.Graph.v :: !tree_vertices)
-        path;
-      remaining := List.filter (fun t -> t <> reached) !remaining
-  done;
-  if !ok then Some !tree_edges
-  else begin
-    rrip st k;
-    None
-  end
-
-(* Edges to penalise so a reroute avoids re-creating a violation, and
-   the nets to hold responsible — the maze router's repair policy. *)
-let involved_edges st viol =
-  let wire_edges_at v =
-    Array.to_list st.rg.Graph.adj.(v)
-    |> List.filter_map (fun (gid, _) ->
-           match st.rg.Graph.edges.(gid).Graph.kind with
-           | Graph.Wire _ -> Some gid
-           | Graph.Via _ | Graph.Shape_lower _ | Graph.Shape_upper _
-           | Graph.Access ->
-             None)
-  in
-  let all_edges_at v = Array.to_list st.rg.Graph.adj.(v) |> List.map fst in
-  match viol with
-  | Drc.Sadp_conflict { v1; v2; _ } -> wire_edges_at v1 @ wire_edges_at v2
-  | Drc.Via_adjacency { site1; site2 } -> [ site1; site2 ]
-  | Drc.Dsa_conflict { sites } -> sites
-  | Drc.Vertex_conflict { vertex; _ } -> all_edges_at vertex
-  | Drc.Shape_side { rep; _ } | Drc.Shape_blocking { rep; _ } -> all_edges_at rep
-  | Drc.Edge_conflict _ | Drc.Disconnected _ | Drc.Dangling _ -> []
-
-let nets_of_violation (sol : Route.solution) st viol =
-  let owner_of_edge gid =
-    match Route.uses_edge sol gid with Some k -> [ k ] | None -> []
-  in
-  match viol with
-  | Drc.Edge_conflict { net1; net2; _ } | Drc.Vertex_conflict { net1; net2; _ }
-    ->
-    [ net1; net2 ]
-  | Drc.Disconnected { net; _ } | Drc.Dangling { net; _ } -> [ net ]
-  | Drc.Via_adjacency { site1; site2 } ->
-    owner_of_edge site1 @ owner_of_edge site2
-  | Drc.Dsa_conflict { sites } -> List.concat_map owner_of_edge sites
-  | Drc.Shape_side { net; _ } -> [ net ]
-  | Drc.Shape_blocking { net; other; _ } -> [ net; other ]
-  | Drc.Sadp_conflict { v1; v2; _ } ->
-    let owner v = if v < st.rngrid then st.vertex_owner.(v) else -1 in
-    List.filter (fun k -> k >= 0) [ owner v1; owner v2 ]
-
-(* One deterministic rounding attempt: route every net in [order] under
-   multiplier pricing, then penalise-rip-up-reroute until the DRC is
-   clean or the round budget runs out. Returns a certified solution. *)
-let try_round (g : Graph.t) ~rules ~order ~bias_e ~bias_v rip_ups =
-  let nnets = Array.length g.Graph.nets in
-  let ngrid =
-    g.Graph.clip.Clip.cols * g.Graph.clip.Clip.rows * g.Graph.clip.Clip.layers
-  in
-  let st =
-    {
-      rg = g;
-      rrules = rules;
-      edge_owner = Array.make (Graph.num_edges g) (-1);
-      vertex_owner = Array.make ngrid (-1);
-      pin_owner =
-        (let owners =
-           Array.make (g.Graph.clip.Clip.cols * g.Graph.clip.Clip.rows) (-1)
-         in
-         Array.iteri
-           (fun v edges ->
-             List.iter
-               (fun gid ->
-                 match g.Graph.edges.(gid).Graph.net_only with
-                 | Some k -> owners.(v) <- k
-                 | None -> ())
-               edges)
-           g.Graph.access_sites;
-         owners);
-      penalty = Array.make (Graph.num_edges g) 0.0;
-      bias_e;
-      bias_v;
-      rngrid = ngrid;
-    }
-  in
-  let routes = Array.make nnets None in
-  let route_all () =
-    let all_ok = ref true in
-    Array.iter
-      (fun k ->
-        match rroute_net st k with
-        | Some edges -> routes.(k) <- Some { Route.net = k; edges }
-        | None -> all_ok := false)
-      order;
-    !all_ok
-  in
-  let solution_of () =
-    let rs =
-      Array.map
-        (function Some r -> r | None -> { Route.net = 0; edges = [] })
-        routes
-    in
-    { Route.routes = rs; metrics = Route.metrics_of g rs }
-  in
-  let all_ok = ref (route_all ()) in
-  let clean = ref None in
-  let round = ref 0 in
-  let continue_repair = ref !all_ok in
-  while !continue_repair && !round <= rip_up_rounds do
-    incr round;
-    let sol = solution_of () in
-    match Drc.check ~rules g sol with
-    | [] ->
-      clean := Some sol;
-      continue_repair := false
-    | viols ->
-      let guilty = ref [] in
-      List.iter
-        (fun viol ->
-          List.iter
-            (fun gid -> st.penalty.(gid) <- st.penalty.(gid) +. 8.0)
-            (involved_edges st viol);
-          guilty := nets_of_violation sol st viol @ !guilty)
-        viols;
-      let guilty = List.sort_uniq Int.compare !guilty in
-      if guilty = [] || !round > rip_up_rounds then continue_repair := false
-      else begin
-        (* Rip everything: innocent nets' claims usually pin the guilty
-           ones into the conflict; the penalties steer the reroute. *)
-        rip_ups := !rip_ups + List.length guilty;
-        Array.iter (fun k -> rrip st k) order;
-        if not (route_all ()) then continue_repair := false
-      end
-  done;
-  !clean
 
 (* ------------------------------------------------------------------ *)
 (* Sub-gradient loop                                                   *)
@@ -595,6 +293,7 @@ let empty_result ~unreachable ~wall_s =
     wall_s;
     rounding_attempts = 0;
     rip_ups = 0;
+    seeded = false;
     workers = 1;
     trace = [];
   }
@@ -639,17 +338,20 @@ let solve ?(params = default_params) ?seed ~rules (g : Graph.t) =
     let have_dual = ref false in
     let best_raw = ref 0.0 in
     let best_sol = ref None in
-    (match seed with
-    | None -> ()
-    | Some s -> (
-      (* A clean seed is an incumbent (upper bound), never a proof. *)
-      match Drc.check ~rules g s with
-      | [] ->
-        best_sol :=
-          Some { Route.routes = s.Route.routes;
-                 metrics = Route.metrics_of g s.Route.routes }
-      | _ :: _ -> ()
-      | exception _foreign_seed_exn -> ()));
+    let seeded =
+      match seed with
+      | None -> false
+      | Some s -> (
+        (* A clean seed is an incumbent (upper bound), never a proof. *)
+        match Drc.check ~rules g s with
+        | [] ->
+          best_sol :=
+            Some { Route.routes = s.Route.routes;
+                   metrics = Route.metrics_of g s.Route.routes };
+          true
+        | _ :: _ -> false
+        | exception _foreign_seed_exn -> false)
+    in
     (* A maze-router incumbent seeds the upper bound: its solutions are
        DRC-clean or absent, and the Polyak step wants a finite UB. *)
     (match (Maze.route ~rules g).Maze.solution with
@@ -696,6 +398,9 @@ let solve ?(params = default_params) ?seed ~rules (g : Graph.t) =
       | None -> false
       | Some p -> lifted () >= p -. 1e-9
     in
+    (* One maze attempt priced by the multipliers (lambda per edge, mu
+       per grid vertex), routing and rerouting the nets in descending
+       order of their last subproblem cost. *)
     let attempt_round () =
       attempts := !attempts + 1;
       let order = Array.init nnets Fun.id in
@@ -705,9 +410,14 @@ let solve ?(params = default_params) ?seed ~rules (g : Graph.t) =
           | 0 -> Int.compare a b
           | c -> c)
         order;
-      match
-        try_round g ~rules ~order ~bias_e:lambda ~bias_v:mu rip_ups
-      with
+      let vertex_cost = Array.make g.Graph.nverts 0.0 in
+      Array.blit mu 0 vertex_cost 0 ngrid;
+      let rounded, ripped =
+        Maze.attempt ~rules ~edge_cost:lambda ~vertex_cost ~order
+          ~reorder:(fun () -> order) ~rounds:rip_up_rounds g
+      in
+      rip_ups := !rip_ups + ripped;
+      match rounded with
       | None -> ()
       | Some sol -> (
         match !best_sol with
@@ -854,6 +564,7 @@ let solve ?(params = default_params) ?seed ~rules (g : Graph.t) =
       wall_s = Unix.gettimeofday () -. t0;
       rounding_attempts = !attempts;
       rip_ups = !rip_ups;
+      seeded;
       workers = Pool.domains pool;
       trace = List.rev !trace;
     }

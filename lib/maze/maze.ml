@@ -24,9 +24,9 @@ type state = {
       (** per edge, from violation repair rounds: penalising the offending
           edges (not vertices) lets a route still reach a pin vertex by a
           via stack while making the conflicting wire arrival expensive *)
-  jitter : float array;
-      (** per-edge random cost noise, fresh per restart: diversifies the
-          first nets' paths so later nets see different congestion *)
+  edge_cost : float array;  (** the caller's per-edge search cost *)
+  vertex_cost : float array;
+      (** the caller's per-vertex search cost, paid on arrival *)
   pin_owner : int array;
       (** per z=0 grid vertex: the net owning an access point there, or
           -1. Other nets must not wire across a pin location — the ILP
@@ -34,9 +34,6 @@ type state = {
           to be told. *)
   ngrid : int;
 }
-
-let allowed (g : Graph.t) k gid =
-  match g.edges.(gid).Graph.net_only with None -> true | Some k' -> k = k'
 
 let grid_coords st v =
   let cols = st.g.clip.Clip.cols and rows = st.g.clip.Clip.rows in
@@ -88,7 +85,7 @@ let via_placement_ok st gid =
       offsets
 
 let edge_usable st k gid dst =
-  allowed st.g k gid
+  Graph.allowed st.g k gid
   && st.edge_owner.(gid) < 0
   && (dst >= st.ngrid || st.vertex_owner.(dst) < 0 || st.vertex_owner.(dst) = k)
   && (dst >= Array.length st.pin_owner
@@ -126,7 +123,8 @@ let search st k sources targets =
                let nd =
                  d
                  +. float_of_int st.g.edges.(gid).Graph.cost
-                 +. st.penalty.(gid) +. st.jitter.(gid)
+                 +. st.penalty.(gid) +. st.edge_cost.(gid)
+                 +. st.vertex_cost.(other)
                in
                if nd < dist.(other) then begin
                  dist.(other) <- nd;
@@ -246,116 +244,133 @@ let nets_of_violation (sol : Route.solution) st viol =
     let owner v = if v < st.ngrid then st.vertex_owner.(v) else -1 in
     List.filter (fun k -> k >= 0) [ owner v1; owner v2 ]
 
-let route ?(params = default_params) ~rules (g : Graph.t) =
+let attempt ~rules ~edge_cost ~vertex_cost ~order ~reorder ~rounds
+    (g : Graph.t) =
   let nnets = Array.length g.nets in
   let ngrid = g.clip.Clip.cols * g.clip.Clip.rows * g.clip.Clip.layers in
-  let rng = Random.State.make [| params.seed |] in
-  let best = ref None in
-  let rip_ups = ref 0 in
-  let restarts_used = ref 0 in
-  for attempt = 0 to params.restarts - 1 do
-    incr restarts_used;
-    let st =
-      {
-        g;
-        rules;
-        edge_owner = Array.make (Graph.num_edges g) (-1);
-        vertex_owner = Array.make ngrid (-1);
-        penalty = Array.make (Graph.num_edges g) 0.0;
-        jitter =
-          Array.init (Graph.num_edges g) (fun _ ->
-              if attempt = 0 then 0.0 else Random.State.float rng 0.45);
-        pin_owner =
-          (let owners =
-             Array.make (g.Graph.clip.Clip.cols * g.Graph.clip.Clip.rows) (-1)
-           in
-           Array.iteri
-             (fun v edges ->
-               List.iter
-                 (fun gid ->
-                   match g.Graph.edges.(gid).Graph.net_only with
-                   | Some k -> owners.(v) <- k
-                   | None -> ())
-                 edges)
-             g.Graph.access_sites;
-           owners);
-        ngrid;
-      }
-    in
-    let order = net_order rng nnets (attempt = 0) in
-    let routes = Array.make nnets None in
-    let all_ok = ref true in
-    Array.iter
-      (fun k ->
+  let st =
+    {
+      g;
+      rules;
+      edge_owner = Array.make (Graph.num_edges g) (-1);
+      vertex_owner = Array.make ngrid (-1);
+      penalty = Array.make (Graph.num_edges g) 0.0;
+      edge_cost;
+      vertex_cost;
+      pin_owner =
+        (let owners =
+           Array.make (g.Graph.clip.Clip.cols * g.Graph.clip.Clip.rows) (-1)
+         in
+         Array.iteri
+           (fun v edges ->
+             List.iter
+               (fun gid ->
+                 match g.Graph.edges.(gid).Graph.net_only with
+                 | Some k -> owners.(v) <- k
+                 | None -> ())
+               edges)
+           g.Graph.access_sites;
+         owners);
+      ngrid;
+    }
+  in
+  let routes = Array.make nnets None in
+  (* Route every net of [order], even past a failure; true if all landed. *)
+  let route_all ~on_fail order =
+    Array.fold_left
+      (fun ok k ->
         match route_net st k with
-        | Some edges -> routes.(k) <- Some { Route.net = k; edges }
+        | Some edges ->
+          routes.(k) <- Some { Route.net = k; edges };
+          ok
         | None ->
-          Log.debug ~src:"maze" (fun () ->
-              Printf.sprintf "attempt %d: net %d unroutable" attempt k);
-          all_ok := false)
-      order;
-    (* Violation repair: penalise the offending vertices, rip the nets
-       involved and reroute them. *)
-    let round = ref 0 in
-    let solution_of_routes () =
-      let rs =
-        Array.map
-          (function Some r -> r | None -> { Route.net = 0; edges = [] })
-          routes
-      in
-      { Route.routes = rs; metrics = Route.metrics_of g rs }
+          on_fail k;
+          false)
+      true order
+  in
+  let solution_of_routes () =
+    let rs =
+      Array.map
+        (function Some r -> r | None -> { Route.net = 0; edges = [] })
+        routes
     in
-    let continue_repair = ref !all_ok in
-    while !continue_repair && !round < params.rip_up_rounds do
-      incr round;
-      let sol = solution_of_routes () in
-      match Drc.check ~rules g sol with
-      | [] -> continue_repair := false
-      | viols ->
-        Log.debug ~src:"maze" (fun () ->
-            Format.asprintf "attempt %d round %d: %d violations%a" attempt
-              !round (List.length viols)
-              (fun ppf ->
-                List.iter (fun v ->
-                    Format.fprintf ppf "@\n  %a" (Drc.pp_violation g) v))
-              viols);
-        let guilty = ref [] in
-        List.iter
+    { Route.routes = rs; metrics = Route.metrics_of g rs }
+  in
+  let rip_ups = ref 0 in
+  (* Violation repair: penalise the offending edges, rip the nets and
+     reroute them, until the DRC is clean or [rounds] reroutes are spent. *)
+  let rec repair round =
+    let sol = solution_of_routes () in
+    match Drc.check ~rules g sol with
+    | [] -> Some sol
+    | _ :: _ when round >= rounds -> None
+    | viols ->
+      Log.debug ~src:"maze" (fun () ->
+          Format.asprintf "round %d: %d violations%a" (round + 1)
+            (List.length viols)
+            (fun ppf ->
+              List.iter (fun v ->
+                  Format.fprintf ppf "@\n  %a" (Drc.pp_violation g) v))
+            viols);
+      let guilty =
+        List.concat_map
           (fun viol ->
             List.iter
               (fun gid -> st.penalty.(gid) <- st.penalty.(gid) +. 8.0)
               (involved_edges st viol);
-            guilty := nets_of_violation sol st viol @ !guilty)
-          viols;
-        let guilty = List.sort_uniq Int.compare !guilty in
-        if guilty = [] then begin
-          all_ok := false;
-          continue_repair := false
-        end
-        else begin
-          (* Rip everything, not just the guilty nets: the innocent nets'
-             vertex claims are usually what pins the guilty ones into the
-             conflict. The accumulated penalties steer the full reroute. *)
-          rip_ups := !rip_ups + List.length guilty;
-          let full_order = net_order rng nnets false in
-          Array.iter (fun k -> rip st k) full_order;
-          Array.iter
-            (fun k ->
-              match route_net st k with
-              | Some edges -> routes.(k) <- Some { Route.net = k; edges }
-              | None -> all_ok := false)
-            full_order;
-          if not !all_ok then continue_repair := false
-        end
-    done;
-    if !all_ok then begin
-      let sol = solution_of_routes () in
-      if Drc.check ~rules g sol = [] then begin
-        match !best with
-        | Some (b : Route.solution) when b.metrics.cost <= sol.Route.metrics.cost
-          -> ()
-        | Some _ | None -> best := Some sol
+            nets_of_violation sol st viol)
+          viols
+        |> List.sort_uniq Int.compare
+      in
+      if guilty = [] then None
+      else begin
+        (* Rip everything, not just the guilty nets: the innocent nets'
+           vertex claims are usually what pins the guilty ones into the
+           conflict. The accumulated penalties steer the full reroute. *)
+        rip_ups := !rip_ups + List.length guilty;
+        let order = reorder () in
+        Array.fill st.edge_owner 0 (Array.length st.edge_owner) (-1);
+        Array.fill st.vertex_owner 0 ngrid (-1);
+        if route_all ~on_fail:ignore order then repair (round + 1) else None
       end
-    end
+  in
+  let unroutable k =
+    Log.debug ~src:"maze" (fun () -> Printf.sprintf "net %d unroutable" k)
+  in
+  let solution =
+    if route_all ~on_fail:unroutable order then repair 0 else None
+  in
+  (solution, !rip_ups)
+
+let route ?(params = default_params) ~rules (g : Graph.t) =
+  let nnets = Array.length g.nets in
+  let rng = Random.State.make [| params.seed |] in
+  let vertex_cost = Array.make g.nverts 0.0 in
+  let best = ref None in
+  let rip_ups = ref 0 in
+  for restart = 0 to params.restarts - 1 do
+    (* Fresh per-edge cost noise per restart diversifies the first nets'
+       paths, so later nets see different congestion. *)
+    let edge_cost =
+      Array.init (Graph.num_edges g) (fun _ ->
+          if restart = 0 then 0.0 else Random.State.float rng 0.45)
+    in
+    let order = net_order rng nnets (restart = 0) in
+    let solution, ripped =
+      attempt ~rules ~edge_cost ~vertex_cost ~order
+        ~reorder:(fun () -> net_order rng nnets false)
+        ~rounds:params.rip_up_rounds g
+    in
+    rip_ups := !rip_ups + ripped;
+    match (solution, !best) with
+    | None, _ -> ()
+    | Some sol, Some (b : Route.solution)
+      when b.metrics.cost <= sol.Route.metrics.cost ->
+      ()
+    | Some sol, (Some _ | None) -> best := Some sol
   done;
-  { solution = !best; restarts_used = !restarts_used; rip_ups = !rip_ups }
+  {
+    solution = !best;
+    restarts_used = max 0 params.restarts;
+    rip_ups = !rip_ups;
+  }

@@ -27,6 +27,33 @@ type result = {
   rip_ups : int;  (** total nets ripped up over all restarts *)
 }
 
+(** [attempt ~rules ~edge_cost ~vertex_cost ~order ~reorder ~rounds g] is
+    one sequential routing pass. The nets of [order] are routed one at a
+    time; a search step from [u] to [v] over edge [e] costs
+    [d + cost(e) + penalty(e) + edge_cost.(e) + vertex_cost.(v)], added in
+    that order, where [penalty] starts at zero. While
+    {!Optrouter_grid.Drc.check} finds violations and fewer than [rounds]
+    reroutes have run, the edges each violation involves gain a penalty
+    of 8, every net is ripped up, and all are rerouted in the order
+    [reorder ()] returns. The pass fails when a net finds no path or a
+    violation blames no net. [edge_cost] is indexed by edge and
+    [vertex_cost] by vertex (length [g.nverts]); both must be
+    non-negative. Returns the DRC-clean solution, if the pass reached
+    one, and the rip-ups: the nets blamed, summed over its reroutes. *)
+val attempt :
+  rules:Optrouter_tech.Rules.t ->
+  edge_cost:float array ->
+  vertex_cost:float array ->
+  order:int array ->
+  reorder:(unit -> int array) ->
+  rounds:int ->
+  Optrouter_grid.Graph.t ->
+  Optrouter_grid.Route.solution option * int
+
+(** [route ?params ~rules g] keeps the cheapest of [params.restarts]
+    {!attempt}s: the first in net-index order with zero costs, the rest
+    in shuffled orders with per-edge random noise below 0.45, each repair
+    round rerouting in a fresh shuffle. *)
 val route :
   ?params:params ->
   rules:Optrouter_tech.Rules.t ->

@@ -371,6 +371,101 @@ let test_maze_deterministic () =
   in
   Alcotest.(check int) "same result" (cost ()) (cost ())
 
+(* One {!Maze.attempt} over the nets in index order, at zero edge cost
+   and zero vertex cost unless [vertex_cost] is given. *)
+let zero_cost_attempt ?vertex_cost ~rules ~rounds g =
+  let vertex_cost =
+    match vertex_cost with
+    | Some vc -> vc
+    | None -> Array.make g.Graph.nverts 0.0
+  in
+  Maze.attempt ~rules
+    ~edge_cost:(Array.make (Graph.num_edges g) 0.0)
+    ~vertex_cost
+    ~order:(Array.init (Graph.num_nets g) Fun.id)
+    ~reorder:(fun () -> Alcotest.fail "no repair round expected")
+    ~rounds g
+
+let routes_text (sol : Route.solution option) =
+  match sol with
+  | None -> "none"
+  | Some sol ->
+    String.concat "|"
+      (Array.to_list
+         (Array.map
+            (fun (r : Route.net_route) ->
+              Printf.sprintf "%d:%s" r.Route.net
+                (String.concat "," (List.map string_of_int r.Route.edges)))
+            sol.Route.routes))
+
+(* A single restart is one attempt in net-index order at zero cost. *)
+let test_maze_attempt_is_first_restart () =
+  List.iter
+    (fun (label, c, k, rounds) ->
+      let rules = Rules.rule k in
+      let g = Graph.build ~tech:Tech.n28_12t ~rules c in
+      let r =
+        Maze.route
+          ~params:
+            {
+              Maze.default_params with
+              Maze.restarts = 1;
+              rip_up_rounds = rounds;
+            }
+          ~rules g
+      in
+      let sol, rip_ups = zero_cost_attempt ~rules ~rounds g in
+      Alcotest.(check string) (label ^ " routes") (routes_text r.Maze.solution)
+        (routes_text sol);
+      Alcotest.(check int) (label ^ " rip-ups") r.Maze.rip_ups rip_ups)
+    [
+      ( "two nets",
+        Clip.make ~cols:5 ~rows:4 ~layers:3
+          [ two_pin "a" (0, 0) (4, 2); two_pin "b" (2, 0) (2, 3) ],
+        1,
+        4 );
+      ( "RULE6 vias, no repair",
+        Clip.make ~cols:6 ~rows:3 ~layers:3
+          [ two_pin "a" (0, 0) (0, 1); two_pin "b" (3, 0) (3, 1) ],
+        6,
+        0 );
+    ]
+
+(* A vertex priced far above any detour is routed around. *)
+let test_maze_vertex_cost_steers () =
+  let c = Clip.make ~cols:5 ~rows:4 ~layers:3 [ two_pin "a" (0, 1) (4, 1) ] in
+  let rules = Rules.rule 1 in
+  let g = Graph.build ~tech:Tech.n28_12t ~rules c in
+  let route ?vertex_cost () =
+    match zero_cost_attempt ?vertex_cost ~rules ~rounds:0 g with
+    | Some sol, _ -> sol
+    | None, _ -> Alcotest.fail "maze attempt found no route"
+  in
+  let vertices (sol : Route.solution) =
+    Array.to_list sol.Route.routes
+    |> List.concat_map (fun (r : Route.net_route) ->
+           List.concat_map
+             (fun gid ->
+               let e = g.Graph.edges.(gid) in
+               [ e.Graph.u; e.Graph.v ])
+             r.Route.edges)
+  in
+  (* where the unpriced route crosses the middle column, off every pin *)
+  let v =
+    List.find
+      (fun v ->
+        match g.Graph.vertex.(v) with
+        | Graph.Grid { x; _ } -> x = 2
+        | Graph.Via_node _ | Graph.Super _ -> false)
+      (vertices (route ()))
+  in
+  let vertex_cost = Array.make g.Graph.nverts 0.0 in
+  vertex_cost.(v) <- 1000.0;
+  let steered = route ~vertex_cost () in
+  Alcotest.(check bool) "avoids the priced vertex" false
+    (List.mem v (vertices steered));
+  Alcotest.(check int) "drc clean" 0 (List.length (Drc.check ~rules g steered))
+
 (* ------------------------------------------------------------------ *)
 (* Clip file                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -750,6 +845,10 @@ let () =
             test_maze_respects_rules;
           Alcotest.test_case "deterministic" `Quick test_maze_deterministic;
           Alcotest.test_case "zero restarts" `Quick test_maze_zero_restarts;
+          Alcotest.test_case "one attempt is the first restart" `Quick
+            test_maze_attempt_is_first_restart;
+          Alcotest.test_case "vertex cost steers the route" `Quick
+            test_maze_vertex_cost_steers;
         ] );
       ( "pqueue",
         [

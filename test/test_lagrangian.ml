@@ -9,6 +9,7 @@ module Drc = Optrouter_grid.Drc
 module Tech = Optrouter_tech.Tech
 module Rules = Optrouter_tech.Rules
 module Optrouter = Optrouter_core.Optrouter
+module Maze = Optrouter_maze.Maze
 module Lagrangian = Optrouter_lagrangian.Lagrangian
 module Clipfile = Optrouter_clipfile.Clipfile
 
@@ -190,12 +191,13 @@ let golden_digests =
     ("q230", "8dfd3067c1ce44a9610855816ed805a0");
   ]
 
+let clip_of_string text =
+  match Clipfile.one_of_string text with
+  | Ok c -> c
+  | Error e -> Alcotest.failf "embedded clip: %s" e
+
 let test_golden_traces () =
-  let q230 =
-    match Clipfile.one_of_string q230 with
-    | Ok c -> c
-    | Error e -> Alcotest.failf "q230: %s" e
-  in
+  let q230 = clip_of_string q230 in
   let rules = rule 1 in
   let digests =
     List.map
@@ -207,6 +209,102 @@ let test_golden_traces () =
   in
   Alcotest.(check (list (pair string string)))
     "RULE1 width-1 trace digests" golden_digests digests
+
+(* ------------------------------------------------------------------ *)
+(* Rounding pins: the maze-style repair that turns prices into routes   *)
+(* ------------------------------------------------------------------ *)
+
+(* The one clip of the 90 in the paper-size pool on which rounding beats
+   the maze incumbent under RULE1 (164 -> 156, dual bound 137). *)
+let q223 =
+  {|clip q223
+tech N7-9T
+size 7 10 8
+net n136
+pin u207/Y shape 532 388 556 612 access 4,4 4,5 4,6
+pin u323/A shape 668 388 692 512 access 5,4 5,5
+pin n136/port access 4,0
+endnet
+net n256
+pin u207/A shape 260 388 284 512 access 2,4 2,5
+pin n256/port access 2,0
+endnet
+net n47
+pin n47/in access 3,0
+pin n47/out access 3,9
+endnet
+net n76
+pin n76/in access 1,0
+pin n76/out access 2,9
+endnet
+net n151
+pin n151/in access 0,5
+pin n151/out access 6,5
+endnet
+net n217
+pin n217/in access 0,4
+pin n217/out access 6,4
+endnet
+net n236
+pin n236/in access 5,0
+pin n236/out access 4,9
+endnet
+net n238
+pin n238/in access 1,9
+pin n238/out access 0,0
+endnet
+endclip
+|}
+
+let cost_of_solution =
+  Option.map (fun (sol : Route.solution) -> sol.Route.metrics.cost)
+
+let test_rounding_beats_maze () =
+  let clip = clip_of_string q223 in
+  let tech = Tech.by_name clip.Clip.tech_name in
+  let rules = rule 1 in
+  let g = Graph.build ~tech ~rules clip in
+  Alcotest.(check (option int))
+    "maze incumbent" (Some 164)
+    (cost_of_solution (Maze.route ~rules g).Maze.solution);
+  let r = Lagrangian.solve ~rules g in
+  Alcotest.(check (float 0.0)) "dual bound" 137.0 r.Lagrangian.dual_bound;
+  Alcotest.(check int) "rounding attempts" 9 r.Lagrangian.rounding_attempts;
+  Alcotest.(check int) "rip-ups" 0 r.Lagrangian.rip_ups;
+  match r.Lagrangian.solution with
+  | None -> Alcotest.fail "q223: no rounded routing"
+  | Some sol ->
+    Alcotest.(check int) "rounded primal" 156 sol.Route.metrics.cost;
+    Alcotest.(check string)
+      "payload digest" "2997cf9f0567a3149f0f5949c19e4ad4"
+      (Optrouter_hash.Stable.digest_hex (solution_bytes sol))
+
+(* Rules the sample clips cannot satisfy cheaply push every rounding
+   attempt through its penalise-rip-up-reroute rounds: (clip, rule,
+   rip-ups, primal). The primal is the maze incumbent in each case. *)
+let repair_pins =
+  [
+    ("quickstart", 2, 117, Some 48);
+    ("eol-conflict", 2, 108, Some 38);
+    ("ladder", 7, 18, Some 19);
+    ("quickstart", 6, 54, None);
+  ]
+
+let test_repair_pins () =
+  let clips = bundled_clips () in
+  List.iter
+    (fun (name, k, rip_ups, primal) ->
+      let clip = List.find (fun (c : Clip.t) -> c.Clip.c_name = name) clips in
+      let rules = rule k in
+      let g = Graph.build ~tech ~rules clip in
+      let r = Lagrangian.solve ~rules g in
+      let label = Printf.sprintf "%s RULE%d" name k in
+      Alcotest.(check int) (label ^ " rounding attempts") 9
+        r.Lagrangian.rounding_attempts;
+      Alcotest.(check int) (label ^ " rip-ups") rip_ups r.Lagrangian.rip_ups;
+      Alcotest.(check (option int)) (label ^ " primal") primal
+        (cost_of_solution r.Lagrangian.solution))
+    repair_pins
 
 (* ------------------------------------------------------------------ *)
 (* Driver plumbing: verdict, stats, fingerprint                         *)
@@ -253,6 +351,45 @@ let test_unroutable_detected () =
   | Optrouter.Unroutable -> ()
   | Optrouter.Routed _ | Optrouter.Limit _ | Optrouter.Near_optimal _ ->
     Alcotest.fail "expected Unroutable from the reachability pre-check"
+
+(* A seed enters the decomposition only when it is DRC-clean under the
+   solve's rules; a sweep's RULE1 baseline often is not under a RULEk,
+   and the stats must say so rather than claim every seed was used. *)
+let test_seed_use_reported () =
+  let outcomes =
+    List.concat_map
+      (fun (clip : Clip.t) ->
+        let base =
+          let r = Optrouter.route ~tech ~rules:(rule 1) clip in
+          match r.Optrouter.verdict with
+          | Optrouter.Routed sol -> sol
+          | Optrouter.Unroutable | Optrouter.Limit _
+          | Optrouter.Near_optimal _ ->
+            Alcotest.failf "%s: RULE1 baseline must prove" clip.Clip.c_name
+        in
+        List.map
+          (fun k ->
+            let rules = rule k in
+            let clean =
+              Drc.check ~rules (Graph.build ~tech ~rules clip) base = []
+            in
+            let r =
+              Optrouter.route ~config:lag_config ~seed:base ~tech ~rules clip
+            in
+            let want =
+              if clean then Optrouter.Seed_incumbent
+              else Optrouter.Seed_rejected
+            in
+            Alcotest.(check bool)
+              (Printf.sprintf "%s RULE%d seed use" clip.Clip.c_name k)
+              true
+              (r.Optrouter.stats.Optrouter.seed_use = want);
+            clean)
+          [ 1; 2; 6 ])
+      (bundled_clips ())
+  in
+  Alcotest.(check bool) "some seeds taken" true (List.mem true outcomes);
+  Alcotest.(check bool) "some seeds rejected" true (List.mem false outcomes)
 
 let test_fingerprint_distinguishes_modes () =
   let exact = Optrouter.make_config () in
@@ -368,12 +505,19 @@ let () =
             test_width_determinism;
           Alcotest.test_case "golden traces" `Quick test_golden_traces;
         ] );
+      ( "rounding",
+        [
+          Alcotest.test_case "q223 rounding beats the maze" `Quick
+            test_rounding_beats_maze;
+          Alcotest.test_case "repair-loop pins" `Quick test_repair_pins;
+        ] );
       ( "driver",
         [
           Alcotest.test_case "near-optimal verdict + stats" `Quick
             test_near_optimal_verdict;
           Alcotest.test_case "reachability proves unroutable" `Quick
             test_unroutable_detected;
+          Alcotest.test_case "seed use reported" `Quick test_seed_use_reported;
           Alcotest.test_case "fingerprint distinguishes modes" `Quick
             test_fingerprint_distinguishes_modes;
         ] );
