@@ -4,7 +4,8 @@
 
    Usage: main.exe [-j N] [--solver-jobs N] [--no-reuse] [SECTION...]
    Sections: table2 table3 fig7 fig8 fig9 fig10a fig10b fig10c audit
-             ilpsize validate runtime ablation micro solver (default: all)
+             ilpsize validate runtime ablation solver lagrangian serve
+             (default: all)
 
    [-j N] fans the independent ILP solves of the sweep sections (fig10*,
    validate) over N domains; the reported tables and figures are
@@ -21,12 +22,20 @@
    way; use it to measure what reuse saves (see results/BENCH_sweep.json).
 
    Environment knobs:
-     OPTROUTER_JOBS         default for -j (default 1 = serial)
-     OPTROUTER_SOLVER_JOBS  default for --solver-jobs (default 1 = serial)
-     OPTROUTER_PROGRESS     when set, trace each (clip, rule) solve on stderr
-     OPTROUTER_BENCH_CLIPS  top-k clips per technology (default 6)
-     OPTROUTER_BENCH_TIME   wall-clock seconds limit per ILP solve (default 15)
-     OPTROUTER_BENCH_SCALE  instance-count scale factor (default 0.03) *)
+     OPTROUTER_JOBS               default for -j (default 1 = serial)
+     OPTROUTER_SOLVER_JOBS        default for --solver-jobs (default 1)
+     OPTROUTER_LOG                diagnostics level: quiet (the default),
+                                  error, warning, info or debug; info
+                                  traces each (clip, rule) sweep solve
+     OPTROUTER_BENCH_CLIPS        top-k clips per technology (default 6)
+     OPTROUTER_BENCH_TIME         wall-clock seconds per ILP solve
+                                  (default 15)
+     OPTROUTER_BENCH_SCALE        instance-count scale factor (default 0.03)
+     OPTROUTER_BENCH_OBJECTIVE    fig10 sweep objective (default wirelength)
+     OPTROUTER_BENCH_ROOT_BUDGET  wall seconds per root-LP solve of the
+                                  solver section (default: the smaller of
+                                  10 and OPTROUTER_BENCH_TIME)
+   The lagrangian and serve sections document their own knobs. *)
 
 module Tech = Optrouter_tech.Tech
 module Rules = Optrouter_tech.Rules
@@ -36,11 +45,9 @@ module Graph = Optrouter_grid.Graph
 module Cells = Optrouter_cells.Cells
 module Design = Optrouter_design.Design
 module Extract = Optrouter_clips.Extract
-module Pin_cost = Optrouter_clips.Pin_cost
 module Formulate = Optrouter_core.Formulate
 module Optrouter = Optrouter_core.Optrouter
 module Route = Optrouter_grid.Route
-module Maze = Optrouter_maze.Maze
 module Sweep = Optrouter_eval.Sweep
 module Scoreboard = Optrouter_eval.Scoreboard
 module Experiments = Optrouter_eval.Experiments
@@ -110,24 +117,6 @@ let jobs_used = ref 1
 (* Per-solve branch-and-bound width for the sweep sections; set up in
    [main] from [--solver-jobs]/[OPTROUTER_SOLVER_JOBS]. *)
 let solver_jobs = ref 1
-
-let progress_enabled = Sys.getenv_opt "OPTROUTER_PROGRESS" <> None
-
-(* Progress lines ride the sweep's [on_entry] callback: it fires in this
-   (collecting) domain once per completed (clip, rule) solve, so printing
-   needs no synchronisation even at -j 8. *)
-let on_entry =
-  if not progress_enabled then None
-  else
-    Some
-      (fun (e : Sweep.entry) ->
-        Printf.eprintf "[sweep] %s %s: %s\n%!" e.Sweep.clip_name
-          e.Sweep.rule_name
-          (match (e.Sweep.delta, e.Sweep.cost) with
-          | Sweep.Delta d, Some c -> Printf.sprintf "cost %d (dcost %d)" c d
-          | Sweep.Infeasible, _ -> "unroutable"
-          | Sweep.Limit, Some c -> Printf.sprintf "limit (incumbent %d)" c
-          | (Sweep.Delta _ | Sweep.Limit), None -> "limit"))
 
 let results_dir = "results"
 
@@ -293,7 +282,7 @@ let fig10_for name tech =
     { bench_params with Experiments.reuse = !reuse; solver_jobs = !solver_jobs }
   in
   let entries =
-    Experiments.fig10 ~params ?pool:!pool ~telemetry ?on_entry tech
+    Experiments.fig10 ~params ?pool:!pool ~telemetry tech
   in
   incr sweep_sections_run;
   sweep_telemetry := Sweep.merge_telemetry !sweep_telemetry !telemetry;
@@ -501,58 +490,6 @@ let section_ablation () =
     (Report.Table.render
        ~header:[ "layer directionality"; "WL"; "#vias"; "cost" ]
        [ route_dir false; route_dir true ])
-
-(* Bechamel micro-benchmarks of the computational kernels: one Test.make
-   per kernel, measured under a short time quota so the harness stays
-   fast. *)
-let section_micro () =
-  banner "Microbenchmarks (bechamel)";
-  let open Bechamel in
-  let clip = Experiments.representative_clip in
-  let tech = Tech.n28_12t in
-  let g1 = Graph.build ~tech ~rules:(Rules.rule 1) clip in
-  let form1 = Formulate.build ~rules:(Rules.rule 1) g1 in
-  let lp1 = Formulate.lp form1 in
-  let test_graph =
-    Test.make ~name:"graph build (5x5x4, 4 nets)"
-      (Staged.stage (fun () -> Graph.build ~tech ~rules:(Rules.rule 2) clip))
-  in
-  let test_formulate =
-    Test.make ~name:"ILP formulation (RULE2)"
-      (Staged.stage (fun () -> Formulate.build ~rules:(Rules.rule 2) g1))
-  in
-  let test_lp =
-    Test.make ~name:"LP relaxation (simplex)"
-      (Staged.stage (fun () -> Simplex.solve lp1))
-  in
-  let test_pincost =
-    Test.make ~name:"pin cost metric"
-      (Staged.stage (fun () -> Pin_cost.total clip))
-  in
-  let test_maze =
-    Test.make ~name:"heuristic maze route (RULE1)"
-      (Staged.stage (fun () ->
-           Maze.route
-             ~params:{ Maze.default_params with Maze.restarts = 2 }
-             ~rules:(Rules.rule 1) g1))
-  in
-  let tests =
-    Test.make_grouped ~name:"optrouter"
-      [ test_graph; test_formulate; test_lp; test_pincost; test_maze ]
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:100 ~quota:(Time.second 0.5) () in
-  let raw = Benchmark.all cfg instances tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  Hashtbl.iter
-    (fun name result ->
-      match Analyze.OLS.estimates result with
-      | Some [ est ] -> Printf.printf "%-42s %14.0f ns/run\n" name est
-      | Some _ | None -> Printf.printf "%-42s (no estimate)\n" name)
-    results
 
 (* Solver microbenchmark: serial vs parallel branch and bound on the
    hardest bundled clip of each technology that the serial solver can
@@ -1402,7 +1339,6 @@ let sections =
     ("validate", section_validate);
     ("runtime", section_runtime);
     ("ablation", section_ablation);
-    ("micro", section_micro);
     ("solver", section_solver);
     ("lagrangian", section_lagrangian);
     ("serve", section_serve);

@@ -34,13 +34,50 @@ module Serve = Optrouter_serve.Serve
 
 open Cmdliner
 
-let setup_logs style_renderer level =
-  Fmt_tty.setup_std_outputs ?style_renderer ();
-  Logs.set_level level;
-  Logs.set_reporter (Logs_fmt.reporter ())
-
-let logs_term =
-  Term.(const setup_logs $ Fmt_cli.style_renderer () $ Logs_cli.level ())
+(* The diagnostics level of every subcommand: [-q] takes over
+   [--verbosity] (and its environment default OPTROUTER_LOG), which takes
+   over the [-v] count; with none of them, warnings and errors render. *)
+let log_term =
+  let level_conv =
+    Arg.conv
+      ( (fun s ->
+          Result.map_error (fun m -> `Msg m) (Report.Log.level_of_string s)),
+        fun ppf l -> Format.pp_print_string ppf (Report.Log.level_to_string l)
+      )
+  in
+  let verbose =
+    Arg.(
+      value & flag_all
+      & info [ "v"; "verbose" ]
+          ~doc:"Render more diagnostics: once for info, twice for debug.")
+  in
+  let verbosity =
+    Arg.(
+      value
+      & opt (some level_conv) None
+      & info [ "verbosity" ] ~docv:"LEVEL"
+          ~env:(Cmd.Env.info "OPTROUTER_LOG")
+          ~doc:
+            "Diagnostics level: $(b,quiet), $(b,error), $(b,warning) (or \
+             $(b,warn)), $(b,info) or $(b,debug). Takes over $(b,-v).")
+  in
+  let quiet =
+    Arg.(
+      value & flag
+      & info [ "q"; "quiet" ]
+          ~doc:"Render no diagnostics. Takes over $(b,-v) and $(b,--verbosity).")
+  in
+  let set quiet verbosity verbose =
+    Report.Log.set_level
+      (if quiet then None
+       else
+         match (verbosity, verbose) with
+         | Some level, _ -> level
+         | None, [] -> Some Report.Log.Warn
+         | None, [ _ ] -> Some Report.Log.Info
+         | None, _ -> Some Report.Log.Debug)
+  in
+  Term.(const set $ quiet $ verbosity $ verbose)
 
 let tech_conv =
   let parse s =
@@ -282,7 +319,7 @@ let route_cmd =
     Term.(
       const do_route $ tech_arg $ rule_arg $ objective_arg $ time_limit_arg
       $ solver_jobs_arg $ solve_mode_arg $ audit_flag $ lp_out_arg
-      $ route_out_arg $ clips_file_arg $ logs_term)
+      $ route_out_arg $ clips_file_arg $ log_term)
 
 (* ---- sweep ---- *)
 
@@ -300,22 +337,9 @@ let do_sweep tech objective time_limit jobs solver_jobs solve_mode no_reuse
   in
   let baseline = Rules.with_objective objective (Rules.rule 1) in
   let telemetry = ref Sweep.empty_telemetry in
-  let on_entry =
-    if Sys.getenv_opt "OPTROUTER_PROGRESS" = None then None
-    else
-      Some
-        (fun (e : Sweep.entry) ->
-          Printf.eprintf "[sweep] %s %s: %s\n%!" e.Sweep.clip_name
-            e.Sweep.rule_name
-            (match e.Sweep.delta with
-            | Sweep.Delta d -> Printf.sprintf "dcost %d" d
-            | Sweep.Infeasible -> "unroutable"
-            | Sweep.Limit -> "limit"))
-  in
   let entries =
     Pool.with_pool ~domains:jobs (fun pool ->
-        Sweep.sweep ~config ~pool ~telemetry ?on_entry ~baseline ~tech ~rules
-          clips)
+        Sweep.sweep ~config ~pool ~telemetry ~baseline ~tech ~rules clips)
   in
   (match csv_out with
   | Some file ->
@@ -368,7 +392,7 @@ let sweep_cmd =
     Term.(
       const do_sweep $ tech_arg $ objective_arg $ time_limit_arg $ jobs_arg
       $ solver_jobs_arg $ solve_mode_arg $ no_reuse_arg $ audit_flag
-      $ csv_out $ clips_file_arg $ logs_term)
+      $ csv_out $ clips_file_arg $ log_term)
 
 (* ---- gen ---- *)
 
@@ -424,7 +448,7 @@ let gen_cmd =
   Cmd.v (Cmd.info "gen" ~doc)
     Term.(
       const do_gen $ tech_arg $ profile $ util $ scale $ seed $ top $ paper $ out
-      $ logs_term)
+      $ log_term)
 
 (* ---- pincost ---- *)
 
@@ -449,7 +473,7 @@ let do_pincost path () =
 let pincost_cmd =
   let doc = "Rank clips by the pin cost metric (PEC + PAC + PRC)." in
   Cmd.v (Cmd.info "pincost" ~doc)
-    Term.(const do_pincost $ clips_file_arg $ logs_term)
+    Term.(const do_pincost $ clips_file_arg $ log_term)
 
 (* ---- show ---- *)
 
@@ -480,7 +504,7 @@ let do_show path () =
 
 let show_cmd =
   let doc = "Render clips as ASCII (access points on M2)." in
-  Cmd.v (Cmd.info "show" ~doc) Term.(const do_show $ clips_file_arg $ logs_term)
+  Cmd.v (Cmd.info "show" ~doc) Term.(const do_show $ clips_file_arg $ log_term)
 
 (* ---- cells ---- *)
 
@@ -491,7 +515,7 @@ let do_cells tech () =
 
 let cells_cmd =
   let doc = "Print the synthetic cell library's pin layouts (Figure 9)." in
-  Cmd.v (Cmd.info "cells" ~doc) Term.(const do_cells $ tech_arg $ logs_term)
+  Cmd.v (Cmd.info "cells" ~doc) Term.(const do_cells $ tech_arg $ log_term)
 
 (* ---- baseline ---- *)
 
@@ -514,7 +538,7 @@ let do_baseline tech rules path () =
 let baseline_cmd =
   let doc = "Route clips with the heuristic baseline router." in
   Cmd.v (Cmd.info "baseline" ~doc)
-    Term.(const do_baseline $ tech_arg $ rule_arg $ clips_file_arg $ logs_term)
+    Term.(const do_baseline $ tech_arg $ rule_arg $ clips_file_arg $ log_term)
 
 (* ---- global: congestion view of a generated design ---- *)
 
@@ -558,7 +582,7 @@ let global_cmd =
   in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"RNG seed.") in
   Cmd.v (Cmd.info "global" ~doc)
-    Term.(const do_global $ tech_arg $ profile $ util $ scale $ seed $ logs_term)
+    Term.(const do_global $ tech_arg $ profile $ util $ scale $ seed $ log_term)
 
 (* ---- audit: static verification of every formulation, no solving ---- *)
 
@@ -635,7 +659,7 @@ let audit_cmd =
           ~doc:"Print warning- and info-level diagnostics too, not just errors.")
   in
   Cmd.v (Cmd.info "audit" ~doc)
-    Term.(const do_audit $ tech_arg $ json_out $ verbose $ clips_file_arg $ logs_term)
+    Term.(const do_audit $ tech_arg $ json_out $ verbose $ clips_file_arg $ log_term)
 
 (* ---- lint: source lints over the project tree ---- *)
 
@@ -701,7 +725,7 @@ let lint_cmd =
   in
   Cmd.v (Cmd.info "lint" ~doc)
     Term.(
-      const do_lint $ par $ json_out $ expect_dirty $ paths $ logs_term)
+      const do_lint $ par $ json_out $ expect_dirty $ paths $ log_term)
 
 (* ---- solve-lp: the MILP solver as a standalone utility ---- *)
 
@@ -811,7 +835,7 @@ let solve_lp_cmd =
   Cmd.v (Cmd.info "solve-lp" ~doc)
     Term.(
       const do_solve_lp $ time_limit_arg $ solver_jobs_arg $ warm_basis
-      $ basis_out $ lp_file $ logs_term)
+      $ basis_out $ lp_file $ log_term)
 
 (* ---- serve / request ---- *)
 
@@ -912,7 +936,7 @@ let serve_cmd =
     Term.(
       const do_serve $ socket_arg $ port_arg $ cache_dir_arg
       $ cache_capacity_arg $ jobs_arg $ solver_jobs_arg $ batch_arg
-      $ queue_arg $ serve_time_limit_arg $ logs_term)
+      $ queue_arg $ serve_time_limit_arg $ log_term)
 
 let do_request socket port rule tech deadline no_cache stats shutdown path () =
   let listener =
@@ -1026,7 +1050,7 @@ let request_cmd =
     Term.(
       const do_request $ socket_arg $ port_arg $ rule_num_arg $ req_tech_arg
       $ deadline_arg $ no_cache_flag $ stats_flag $ shutdown_flag
-      $ req_clips_arg $ logs_term)
+      $ req_clips_arg $ log_term)
 
 let main_cmd =
   let doc = "optimal ILP-based detailed router for BEOL design-rule evaluation" in

@@ -8,6 +8,7 @@ module Via_shape = Optrouter_tech.Via_shape
 module Milp = Optrouter_ilp.Milp
 module Simplex = Optrouter_ilp.Simplex
 module Lagrangian = Optrouter_lagrangian.Lagrangian
+module Log = Optrouter_report.Report.Log
 
 type seed_use =
   | Seed_unused
@@ -22,12 +23,10 @@ type lagrangian_stats = {
   dual_bound : float;
   primal_cost : int option;
   lag_gap : float option;
-  multiplier_norm : float;
   lag_busy_s : float;
   lag_wall_s : float;
   lag_rounds : int;
   lag_rip_ups : int;
-  lag_exact_pricing : bool;
 }
 
 type stats = {
@@ -44,7 +43,6 @@ type stats = {
   solver_steals : int;
   solver_busy_s : float;
   solver_wall_s : float;
-  dual_btran_saved : int;
   lagrangian : lagrangian_stats option;
 }
 
@@ -139,10 +137,6 @@ let config_fingerprint c =
 
 exception Drc_failure of string
 
-let src = Logs.Src.create "optrouter.core" ~doc:"optimal router"
-
-module Log = (val Logs.src_log src : Logs.LOG)
-
 let audit ~rules g sol =
   match Drc.check ~rules g sol with
   | [] -> ()
@@ -214,7 +208,6 @@ let route_lagrangian ~config ?seed ~rules (g : Graph.t) ~start =
       solver_steals = 0;
       solver_busy_s = r.Lagrangian.busy_s;
       solver_wall_s = r.Lagrangian.wall_s;
-      dual_btran_saved = 0;
       lagrangian =
         Some
           {
@@ -225,12 +218,10 @@ let route_lagrangian ~config ?seed ~rules (g : Graph.t) ~start =
                 (fun (s : Route.solution) -> s.Route.metrics.cost)
                 r.Lagrangian.solution;
             lag_gap = r.Lagrangian.gap;
-            multiplier_norm = r.Lagrangian.multiplier_norm;
             lag_busy_s = r.Lagrangian.busy_s;
             lag_wall_s = r.Lagrangian.wall_s;
             lag_rounds = r.Lagrangian.rounding_attempts;
             lag_rip_ups = r.Lagrangian.rip_ups;
-            lag_exact_pricing = r.Lagrangian.exact_pricing;
           };
     }
   in
@@ -246,9 +237,9 @@ let route_graph ?(config = default_config) ?seed ?warm_basis ~rules
   | Exact -> (
   match Option.bind seed (fast_path ~rules g) with
   | Some sol ->
-    Log.debug (fun m ->
-        m "seed clean under %s: fast path, cost=%d" rules.Rules.name
-          sol.Route.metrics.cost);
+    Log.debug ~src:"core" (fun () ->
+        Printf.sprintf "seed clean under %s: fast path, cost=%d"
+          rules.Rules.name sol.Route.metrics.cost);
     let stats =
       {
         sizes = no_sizes;
@@ -264,7 +255,6 @@ let route_graph ?(config = default_config) ?seed ?warm_basis ~rules
         solver_steals = 0;
         solver_busy_s = 0.0;
         solver_wall_s = 0.0;
-        dual_btran_saved = 0;
         lagrangian = None;
       }
     in
@@ -339,7 +329,6 @@ let route_graph ?(config = default_config) ?seed ?warm_basis ~rules
       solver_steals = milp_result.Milp.steals;
       solver_busy_s = milp_result.Milp.solver_busy_s;
       solver_wall_s = milp_result.Milp.solver_wall_s;
-      dual_btran_saved = milp_result.Milp.dual_btran_saved;
       lagrangian = None;
     }
   in
@@ -352,8 +341,8 @@ let route_graph ?(config = default_config) ?seed ?warm_basis ~rules
     match milp_result.Milp.outcome with
     | Milp.Proved_optimal ->
       let sol = decode () in
-      Log.debug (fun m ->
-          m "routed: cost=%d nodes=%d" sol.Route.metrics.cost
+      Log.debug ~src:"core" (fun () ->
+          Printf.sprintf "routed: cost=%d nodes=%d" sol.Route.metrics.cost
             milp_result.Milp.nodes);
       Routed sol
     | Milp.Infeasible -> Unroutable

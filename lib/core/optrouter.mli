@@ -35,14 +35,10 @@ type lagrangian_stats = {
   lag_gap : float option;
       (** (primal - dual_bound) / primal; [None] without a feasible
           routing *)
-  multiplier_norm : float;  (** final multiplier 2-norm *)
   lag_busy_s : float;  (** summed per-net pricing work across domains *)
   lag_wall_s : float;  (** wall clock of the decomposition solve alone *)
   lag_rounds : int;  (** rounding attempts *)
   lag_rip_ups : int;  (** nets ripped up across repair rounds *)
-  lag_exact_pricing : bool;
-      (** every per-net subproblem was priced exactly (sink counts within
-          the Steiner-DP cap) *)
 }
 
 (** How a [?seed] routing was exploited by a solve. *)
@@ -85,9 +81,6 @@ type stats = {
   solver_busy_s : float;
       (** summed per-worker node-processing time of the solve *)
   solver_wall_s : float;  (** wall clock of the MILP solve alone *)
-  dual_btran_saved : int;
-      (** BTRAN passes saved by the incremental dual update, summed over
-          the solve's LP re-optimisations *)
   lagrangian : lagrangian_stats option;
       (** decomposition counters; [Some] iff [solve_mode = Lagrangian] *)
 }

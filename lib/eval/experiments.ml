@@ -191,7 +191,7 @@ let solver_config params =
          ~solver_jobs:params.solver_jobs ())
     ~solve_mode:params.solve_mode ~seed_reuse:params.reuse ()
 
-let fig10 ?(params = default_fig10_params) ?pool ?telemetry ?on_entry tech =
+let fig10 ?(params = default_fig10_params) ?pool ?telemetry tech =
   let clips = difficult_clips ~params tech in
   (* The whole sweep — baseline included — runs under the requested
      objective: the zero-Δ fast path is only sound when the baseline and
@@ -201,7 +201,7 @@ let fig10 ?(params = default_fig10_params) ?pool ?telemetry ?on_entry tech =
   in
   let baseline = Rules.with_objective params.objective (Rules.rule 1) in
   let config = solver_config params in
-  Sweep.sweep ~config ?pool ?telemetry ?on_entry ~baseline ~tech ~rules clips
+  Sweep.sweep ~config ?pool ?telemetry ~baseline ~tech ~rules clips
 
 (* ------------------------------------------------------------------ *)
 (* ILP size analysis                                                   *)

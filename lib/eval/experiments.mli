@@ -75,19 +75,18 @@ val rules_for : Optrouter_tech.Tech.t -> Optrouter_tech.Rules.t list
 (** Figure 10 (a/b/c by technology): Δcost entries for every (clip, rule)
     pair. Feed to {!Sweep.series} for the sorted profiles.
 
-    [pool], [telemetry] and [on_entry] are forwarded to {!Sweep.sweep}:
+    [pool] and [telemetry] are forwarded to {!Sweep.sweep}:
     with a pool the (clip, rule) solves fan out over its worker domains
     and the entries remain byte-identical to the serial run. *)
 val fig10 :
   ?params:fig10_params ->
   ?pool:Optrouter_exec.Pool.t ->
   ?telemetry:Sweep.telemetry ref ->
-  ?on_entry:(Sweep.entry -> unit) ->
   Optrouter_tech.Tech.t ->
   Sweep.entry list
 
 (** A deterministic 5x5-track, 4-layer, 4-net clip used by the size
-    analysis and the microbenchmarks. *)
+    analysis and the bench's ablation. *)
 val representative_clip : Optrouter_grid.Clip.t
 
 (** Section 4.2 "Analysis of the number of variables and constraints":
@@ -112,7 +111,8 @@ val validate :
   Optrouter_tech.Tech.t ->
   validation list
 
-(** Section 5 runtime study: mean OptRouter CPU seconds on clips of two
+(** Section 5 runtime study: mean OptRouter wall-clock seconds
+    ({!Optrouter_core.Optrouter.stats}[.elapsed_s]) on clips of two
     switchbox sizes, with and without SADP + via-restriction rules.
     Returns (size label, without rules, with rules) triples. *)
 val runtime : ?params:fig10_params -> unit -> (string * float * float) list

@@ -3,11 +3,7 @@ module Rules = Optrouter_tech.Rules
 module Optrouter = Optrouter_core.Optrouter
 module Route = Optrouter_grid.Route
 module Pool = Optrouter_exec.Pool
-module Report = Optrouter_report.Report
-
-let src = Logs.Src.create "optrouter.sweep" ~doc:"rule sweep"
-
-module Log = (val Logs.src_log src : Logs.LOG)
+module Log = Optrouter_report.Report.Log
 
 type delta = Delta of int | Infeasible | Limit
 
@@ -241,10 +237,10 @@ let render_telemetry t =
       (if t.lag_unrounded > 0 then
          Printf.sprintf ", %d unrounded" t.lag_unrounded
        else "");
-  (* Diagnostics the quiet-by-default Report.Log swallowed during the
-     sweep (maze reroute chatter, simplex progress): surface the counts so
-     a silent run still shows how much went unreported. *)
-  (match Report.Log.counts () with
+  (* Diagnostics below the log level (maze reroute chatter, simplex
+     progress, per-entry progress): surface the counts so a quiet run
+     still shows how much went unreported. *)
+  (match Log.counts () with
   | [] -> ()
   | counts ->
     Printf.bprintf b "                  suppressed diagnostics: %s\n"
@@ -349,9 +345,19 @@ let entry_for ~clip_name ~base_metrics (r : Rules.t) outcome =
 let warn_failure clip_name rule_name = function
   | Ok _ -> ()
   | Error e ->
-    Log.warn (fun m ->
-        m "%s under %s: solve failed: %s" clip_name rule_name
+    Log.warn ~src:"sweep" (fun () ->
+        Printf.sprintf "%s under %s: solve failed: %s" clip_name rule_name
           (Printexc.to_string e))
+
+(* The sweep's progress line: one [info] event per finished entry. *)
+let log_entry e =
+  Log.info ~src:"sweep" (fun () ->
+      Printf.sprintf "%s %s: %s" e.clip_name e.rule_name
+        (match (e.delta, e.cost) with
+        | Delta d, Some c -> Printf.sprintf "cost %d (dcost %d)" c d
+        | Infeasible, _ -> "unroutable"
+        | Limit, Some c -> Printf.sprintf "limit (incumbent %d)" c
+        | (Delta _ | Limit), None -> "limit"))
 
 let record telemetry outcome =
   match telemetry with Some t -> t := add_outcome !t outcome | None -> ()
@@ -405,6 +411,7 @@ let rule_entries ?config ?pool ?budget ?telemetry ?on_entry ~tech jobs =
   in
   let handle _i (entry, outcome) =
     warn_failure entry.clip_name entry.rule_name outcome;
+    log_entry entry;
     match on_entry with Some g -> g entry | None -> ()
   in
   let results = fan ?pool ~on_done:handle solve jobs in

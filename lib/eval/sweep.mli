@@ -130,8 +130,9 @@ val merge_telemetry : telemetry -> telemetry -> telemetry
     [solver_busy_s / (solver_wall_s * peak_workers)] (any solve wider
     than one worker, or any steal); Lagrangian solves, iterations,
     pricing time, worst gap and unrounded solves (any decomposition
-    solve); and the per-source counts of diagnostics the quiet-by-default
-    {!Optrouter_report.Report.Log} suppressed. *)
+    solve); and the per-source counts of the
+    {!Optrouter_report.Report.Log} events suppressed so far because their
+    level was disabled. *)
 val render_telemetry : telemetry -> string
 
 (** The solver configuration used for baseline solves: [config]
@@ -160,9 +161,11 @@ val baseline_config :
     limit is hit; only the solve effort differs.
 
     The baseline solve is serial (everything depends on it); the rule
-    solves fan out over [pool] when given. [on_entry] is invoked from the
-    pool's collector — always the calling domain — once per completed
-    (clip, rule) solve, in completion order; use it for progress lines.
+    solves fan out over [pool] when given. The pool's collector — always
+    the calling domain — emits one [info] event on the [sweep] source of
+    {!Optrouter_report.Report.Log} per completed (clip, rule) solve, in
+    completion order: the sweep's progress lines. It then invokes
+    [on_entry] on the entry, for callers that time or count entries.
     [telemetry], when given, is updated in place (deterministically, in
     task order) with every solve including the baseline. *)
 val clip_deltas :

@@ -1,6 +1,4 @@
-let src = Logs.Src.create "optrouter.exec" ~doc:"domain pool"
-
-module Log = (val Logs.src_log src : Logs.LOG)
+module Log = Optrouter_report.Report.Log
 
 (* The pool is two queues guarded by one mutex each: [queue] carries
    pending jobs to the workers, and each [map_result] call carries its own
@@ -63,7 +61,7 @@ let create ~domains =
   in
   if n >= 2 then begin
     t.workers <- List.init n (fun _ -> Domain.spawn (worker t));
-    Log.debug (fun m -> m "pool: %d worker domains" n)
+    Log.debug ~src:"exec" (fun () -> Printf.sprintf "%d worker domains" n)
   end;
   t
 
@@ -146,11 +144,13 @@ let env_int_jobs name =
     match int_of_string_opt (String.trim v) with
     | Some n when n >= 1 -> n
     | Some n ->
-      Log.warn (fun m ->
-          m "%s=%d is not a positive job count; running serially" name n);
+      Log.warn ~src:"exec" (fun () ->
+          Printf.sprintf "%s=%d is not a positive job count; running serially"
+            name n);
       1
     | None ->
-      Log.warn (fun m -> m "%s=%S is not an integer; running serially" name v);
+      Log.warn ~src:"exec" (fun () ->
+          Printf.sprintf "%s=%S is not an integer; running serially" name v);
       1)
 
 let env_jobs () = env_int_jobs "OPTROUTER_JOBS"

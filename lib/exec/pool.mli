@@ -61,7 +61,7 @@ val with_pool : domains:int -> (t -> 'a) -> 'a
 (** Solve concurrency requested by the environment: the [OPTROUTER_JOBS]
     variable, clamped to at least 1; unset means 1. An unparsable or
     non-positive value also means 1, with a warning naming the rejected
-    value on the [optrouter.exec] log source. *)
+    value on the [exec] source of {!Optrouter_report.Report.Log}. *)
 val env_jobs : unit -> int
 
 (** Per-solve (inner, branch-and-bound) concurrency requested by the

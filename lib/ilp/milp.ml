@@ -1,3 +1,5 @@
+module Log = Optrouter_report.Report.Log
+
 type outcome = Proved_optimal | Feasible | Infeasible | Unbounded | Unknown
 
 type result = {
@@ -15,7 +17,6 @@ type result = {
   steals : int;
   solver_busy_s : float;
   solver_wall_s : float;
-  dual_btran_saved : int;
 }
 
 type params = {
@@ -46,10 +47,6 @@ let make_params ?(max_nodes = default_params.max_nodes) ?time_limit_s
    [Unix.gettimeofday] is the only sub-second clock the stdlib exposes
    per-process rather than per-thread. *)
 let now () = Unix.gettimeofday ()
-
-let src = Logs.Src.create "optrouter.milp" ~doc:"branch and bound"
-
-module Log = (val Logs.src_log src : Logs.LOG)
 
 let is_near_integer tol v = Float.abs (v -. Float.round v) <= tol
 
@@ -159,7 +156,6 @@ type shared = {
   (* counters *)
   nodes : int Atomic.t;
   iters : int Atomic.t;
-  btran_saved : int Atomic.t;
   steals : int Atomic.t;
   hit_limit : bool Atomic.t;
   root_unbounded : bool Atomic.t;
@@ -289,7 +285,8 @@ let record_incumbent sh obj x =
           lower ()
       in
       lower ();
-      Log.debug (fun m -> m "node %d: incumbent %.6g" (Atomic.get sh.nodes) obj)
+      Log.debug ~src:"milp" (fun () ->
+          Printf.sprintf "node %d: incumbent %.6g" (Atomic.get sh.nodes) obj)
     end;
     Mutex.unlock sh.imutex
   end
@@ -432,7 +429,6 @@ let process sh wid inst lo up nd =
         None
       | Some res -> (
         ignore (Atomic.fetch_and_add sh.iters res.Simplex.iterations);
-        ignore (Atomic.fetch_and_add sh.btran_saved res.Simplex.btran_saved);
         if nd.depth = 0 then begin
           Mutex.lock sh.rmutex;
           sh.root_info <-
@@ -561,7 +557,6 @@ let solve ?(params = default_params) ?initial ?cutoff ?root_basis (lp : Lp.t) =
       best = initial_best;
       nodes = Atomic.make 0;
       iters = Atomic.make 0;
-      btran_saved = Atomic.make 0;
       steals = Atomic.make 0;
       hit_limit = Atomic.make false;
       root_unbounded = Atomic.make false;
@@ -636,5 +631,4 @@ let solve ?(params = default_params) ?initial ?cutoff ?root_basis (lp : Lp.t) =
     steals = Atomic.get sh.steals;
     solver_busy_s;
     solver_wall_s;
-    dual_btran_saved = Atomic.get sh.btran_saved;
   }

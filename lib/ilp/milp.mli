@@ -53,9 +53,6 @@ type result = {
       (** summed per-worker node-processing time; [solver_busy_s /
           solver_wall_s] is the achieved parallel speedup of the solve *)
   solver_wall_s : float;  (** wall clock of the whole solve *)
-  dual_btran_saved : int;
-      (** BTRAN passes avoided by {!Simplex}'s incremental dual update,
-          summed over all LP re-optimisations of the search *)
 }
 
 type params = {
@@ -123,8 +120,8 @@ val make_params :
     remapped optimal basis of a related LP, via {!Simplex.Basis});
     [result.root_warm] reports whether it was reused.
 
-    Each new incumbent is logged at debug level on the [optrouter.milp]
-    log source. *)
+    Each new incumbent is logged at debug level on the [milp] source of
+    {!Optrouter_report.Report.Log}. *)
 val solve :
   ?params:params ->
   ?initial:float array ->

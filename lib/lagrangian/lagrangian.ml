@@ -44,10 +44,8 @@ type t = {
   solution : Route.solution option;
   dual_bound : float;
   unreachable : bool;
-  exact_pricing : bool;
   iterations : int;
   gap : float option;
-  multiplier_norm : float;
   busy_s : float;
   wall_s : float;
   rounding_attempts : int;
@@ -206,7 +204,7 @@ let steiner_exact (g : Graph.t) ~allowed ~eprice ~vprice
     let tree =
       List.sort Int.compare (Hashtbl.fold (fun gid () acc -> gid :: acc) edges [])
     in
-    Some (cost, tree, true)
+    Some (cost, tree)
   end
 
 (* Beyond the DP cap: a valid per-net lower bound (the costliest of the
@@ -265,13 +263,13 @@ let steiner_heuristic (g : Graph.t) ~allowed ~eprice ~vprice
     let tree =
       List.sort Int.compare (Hashtbl.fold (fun gid () acc -> gid :: acc) edges [])
     in
-    Some (lb, tree, false)
+    Some (lb, tree)
   end
 
 let price_net (g : Graph.t) ~eprice ~vprice k =
   let net = g.Graph.nets.(k) in
   let allowed = Graph.allowed g k in
-  if Array.length net.Graph.sinks = 0 then Some (0.0, [], true)
+  if Array.length net.Graph.sinks = 0 then Some (0.0, [])
   else if Array.length net.Graph.sinks <= dp_sink_cap then
     steiner_exact g ~allowed ~eprice ~vprice net
   else steiner_heuristic g ~allowed ~eprice ~vprice net
@@ -285,10 +283,8 @@ let empty_result ~unreachable ~wall_s =
     solution = None;
     dual_bound = 0.0;
     unreachable;
-    exact_pricing = true;
     iterations = 0;
     gap = None;
-    multiplier_norm = 0.0;
     busy_s = 0.0;
     wall_s;
     rounding_attempts = 0;
@@ -334,7 +330,6 @@ let solve ?(params = default_params) ?seed ~rules (g : Graph.t) =
     in
     let lambda = Array.make nedges 0.0 in
     let mu = Array.make ngrid 0.0 in
-    let exact_all = ref true in
     let have_dual = ref false in
     let best_raw = ref 0.0 in
     let best_sol = ref None in
@@ -454,8 +449,7 @@ let solve ?(params = default_params) ?seed ~rules (g : Graph.t) =
         (fun k (r, _) ->
           match r with
           | None -> () (* impossible after the reachability pre-check *)
-          | Some (c, tree, exact) ->
-            if not exact then exact_all := false;
+          | Some (c, tree) ->
             last_costs.(k) <- c;
             sum_costs := !sum_costs +. c;
             List.iter
@@ -556,10 +550,8 @@ let solve ?(params = default_params) ?seed ~rules (g : Graph.t) =
       solution = !best_sol;
       dual_bound;
       unreachable = false;
-      exact_pricing = !exact_all;
       iterations = !iters;
       gap;
-      multiplier_norm = sqrt (norm2 lambda +. norm2 mu);
       busy_s = !busy_total;
       wall_s = Unix.gettimeofday () -. t0;
       rounding_attempts = !attempts;

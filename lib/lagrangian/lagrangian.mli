@@ -110,14 +110,10 @@ type t = {
       (** some net cannot reach a sink through its allowed edges at all:
           the ILP is infeasible by plain graph reachability (the only
           case this mode can prove) *)
-  exact_pricing : bool;
-      (** every net stayed within the Steiner DP's eight-sink cap, so
-          each subproblem was priced exactly *)
   iterations : int;
   gap : float option;
       (** (primal - dual_bound) / primal in objective units, when a
           feasible routing was found (0 for a zero-objective primal) *)
-  multiplier_norm : float;  (** final multiplier 2-norm *)
   busy_s : float;  (** summed per-net pricing work across iterations *)
   wall_s : float;
   rounding_attempts : int;

@@ -390,21 +390,42 @@ module Log = struct
     | Warn -> "warn"
     | Error -> "error"
 
+  (* The one table of level names, for OPTROUTER_LOG and --verbosity. The
+     first name of each setting is its canonical one. *)
+  let level_names =
+    [
+      ("quiet", None);
+      ("error", Some Error);
+      ("warning", Some Warn);
+      ("warn", Some Warn);
+      ("info", Some Info);
+      ("debug", Some Debug);
+    ]
+
+  let level_of_string s =
+    match List.assoc_opt (String.lowercase_ascii s) level_names with
+    | Some lvl -> Ok lvl
+    | None ->
+      Error
+        (Printf.sprintf
+           "unknown log level %S (want quiet, error, warning, info or debug)" s)
+
+  let level_to_string lvl =
+    fst (List.find (fun (_, l) -> l = lvl) level_names)
+
+  let rank_of = function None -> -1 | Some l -> level_rank l
+
   (* All state is held in Atomics: messages and counters flow from pool
      worker domains, so plain refs or a Hashtbl would race (and would trip
      the source lint's L004). *)
   let threshold : int Atomic.t =
     (* -1 = silent. Initialised once from OPTROUTER_LOG. *)
     Atomic.make
-      (match Option.map String.lowercase_ascii (Sys.getenv_opt "OPTROUTER_LOG") with
-      | Some "debug" -> 0
-      | Some "info" -> 1
-      | Some "warn" -> 2
-      | Some "error" -> 3
-      | Some _ | None -> -1)
+      (match Option.map level_of_string (Sys.getenv_opt "OPTROUTER_LOG") with
+      | Some (Ok lvl) -> rank_of lvl
+      | Some (Error _) | None -> -1)
 
-  let set_level lvl =
-    Atomic.set threshold (match lvl with None -> -1 | Some l -> level_rank l)
+  let set_level lvl = Atomic.set threshold (rank_of lvl)
 
   let enabled lvl =
     let t = Atomic.get threshold in
@@ -443,14 +464,11 @@ module Log = struct
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
     |> List.filter (fun (_, n) -> n > 0)
 
-  let reset_counts () =
-    List.iter (fun (_, c) -> Atomic.set c 0) (Atomic.get counters)
-
-  (* Every event counts, rendered or not, so quiet runs still surface how
-     much was suppressed. *)
+  (* An event the level hides is counted instead, so quiet runs still
+     surface how much went unreported. *)
   let event lvl ~src msg =
-    Atomic.incr (bucket src);
     if enabled lvl then (Atomic.get sink) lvl ~src (msg ())
+    else Atomic.incr (bucket src)
 
   let debug ~src msg = event Debug ~src msg
   let info ~src msg = event Info ~src msg

@@ -77,23 +77,38 @@ module Json : sig
 end
 
 module Log : sig
-  (** Leveled diagnostics for solver internals, safe under domain
-      parallelism.
+  (** Leveled diagnostics, safe under domain parallelism: the one
+      diagnostics path of the library and the CLI. Each event names its
+      source: [core] (the router driver), [milp], [simplex], [maze],
+      [lagrangian], [exec] (the domain pool), [sweep], [audit], [serve]
+      and [serve.cache].
 
-      Quiet by default: every event is {e counted} per source (see
-      {!counts}, surfaced in the sweep telemetry) but only rendered when
-      the level is enabled — so a parallel sweep never interleaves debug
-      garbage on stderr, yet a serial debugging run can see everything via
-      [OPTROUTER_LOG=debug] (or {!set_level}). The default sink writes one
-      preformatted line per event with a single [output_string], which
+      The library renders nothing until a level is set, either by
+      {!set_level} or by the [OPTROUTER_LOG] environment variable, read
+      once at start-up. The CLI sets the level from [-v], [-q] and
+      [--verbosity] (whose environment default is [OPTROUTER_LOG]) and
+      defaults to [warning]. An event below the level is not rendered but
+      {e counted} against its source ({!counts}, surfaced in the sweep
+      telemetry), so a quiet run still shows how much it suppressed.
+
+      The default sink writes each event as one line,
+      [[src] level: message], with a single [output_string], which
       concurrent domains can reorder but not interleave. All internal
       state is atomic. *)
 
   type level = Debug | Info | Warn | Error
 
-  (** Enable rendering of events at [lvl] and above; [None] (the initial
-      state unless the [OPTROUTER_LOG] environment variable is set to
-      [debug]/[info]/[warn]/[error]) renders nothing. *)
+  (** Parse a level setting. The names, matched case-insensitively, are
+      [quiet] ([None]), [error], [warning] (or [warn]), [info] and
+      [debug]; [OPTROUTER_LOG] and the CLI's [--verbosity] both take
+      them. *)
+  val level_of_string : string -> (level option, string) result
+
+  (** The canonical name of a level setting, one of those above. *)
+  val level_to_string : level option -> string
+
+  (** Render events at [lvl] and above; [None] renders nothing. The
+      initial setting is the one [OPTROUTER_LOG] names, else [None]. *)
   val set_level : level option -> unit
 
   val enabled : level -> bool
@@ -101,9 +116,9 @@ module Log : sig
   (** Replace ([Some]) or restore ([None]) the stderr sink. *)
   val set_sink : (level -> src:string -> string -> unit) option -> unit
 
-  (** [event lvl ~src msg] counts one event against [src] and, when [lvl]
-      is enabled, formats and emits it. [msg] is only forced when
-      rendering. *)
+  (** [event lvl ~src msg] formats [msg] and emits it when [lvl] is
+      enabled, and otherwise counts one suppressed event against [src].
+      [msg] is only forced when rendering. *)
   val event : level -> src:string -> (unit -> string) -> unit
 
   val debug : src:string -> (unit -> string) -> unit
@@ -111,11 +126,9 @@ module Log : sig
   val warn : src:string -> (unit -> string) -> unit
   val error : src:string -> (unit -> string) -> unit
 
-  (** Per-source event counts since the last {!reset_counts}, sorted by
-      source, zero entries omitted. *)
+  (** Per-source counts of the events suppressed since start-up, sorted
+      by source, zero entries omitted. *)
   val counts : unit -> (string * int) list
-
-  val reset_counts : unit -> unit
 end
 
 module Csv : sig

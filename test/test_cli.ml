@@ -3,9 +3,12 @@
 
 let exe = Filename.concat (Filename.concat ".." "bin") "optrouter.exe"
 
-let run_capture args =
+(* [env] is a shell prefix for the command, such as [VAR=value]. *)
+let run_capture ?(env = "") args =
   let out = Filename.temp_file "optrouter_cli" ".out" in
-  let cmd = Printf.sprintf "%s %s > %s 2>&1" exe (String.concat " " args) out in
+  let cmd =
+    Printf.sprintf "%s %s %s > %s 2>&1" env exe (String.concat " " args) out
+  in
   let code = Sys.command cmd in
   let ic = open_in out in
   let n = in_channel_length ic in
@@ -39,6 +42,61 @@ let with_clips_file f =
   output_string oc sample_clips;
   close_out oc;
   Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+(* The bundled samples' [eol-conflict] clip, cut out as CI does: routed
+   under RULE2 it logs 64 maze repair events at debug level. *)
+let with_eol_conflict f =
+  let path = Filename.temp_file "optrouter_cli" ".clips" in
+  let code =
+    Sys.command
+      (Printf.sprintf "sed -n '/^clip eol-conflict/,/^endclip/p' %s > %s"
+         (Filename.concat ".." (Filename.concat "data" "samples.clips"))
+         (Filename.quote path))
+  in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Alcotest.(check int) "clip cut out" 0 code;
+      f path)
+
+(* Rendered diagnostics: the [[src] level: message] lines. *)
+let diagnostics text =
+  List.filter
+    (fun l -> String.length l > 0 && l.[0] = '[')
+    (String.split_on_char '\n' text)
+
+let test_cli_verbose_renders_debug () =
+  with_eol_conflict (fun path ->
+      let code, text =
+        run_capture ~env:"env -u OPTROUTER_LOG"
+          [ "route"; "-v"; "-v"; "--rule"; "2"; path ]
+      in
+      Alcotest.(check int) "exit 0" 0 code;
+      Alcotest.(check bool) "renders maze debug events" true
+        (contains text "[maze] debug: "))
+
+let test_cli_quiet_takes_over_env () =
+  with_eol_conflict (fun path ->
+      let code, text =
+        run_capture ~env:"OPTROUTER_LOG=debug"
+          [ "route"; "-q"; "--rule"; "2"; path ]
+      in
+      Alcotest.(check int) "exit 0" 0 code;
+      Alcotest.(check bool) "routes" true (contains text "cost=");
+      Alcotest.(check (list string)) "no diagnostics" [] (diagnostics text))
+
+let test_cli_level_names () =
+  with_eol_conflict (fun path ->
+      let code, _ = run_capture [ "route"; "--verbosity"; "warn"; path ] in
+      Alcotest.(check int) "--verbosity warn accepted" 0 code;
+      (* The environment default of --verbosity takes over -v. *)
+      let code, text =
+        run_capture ~env:"OPTROUTER_LOG=warning"
+          [ "route"; "-v"; "-v"; "--rule"; "2"; path ]
+      in
+      Alcotest.(check int) "OPTROUTER_LOG=warning accepted" 0 code;
+      Alcotest.(check (list string)) "the env level takes over -v -v" []
+        (diagnostics text))
 
 let test_cli_exists () =
   Alcotest.(check bool) "binary built" true (Sys.file_exists exe)
@@ -149,5 +207,10 @@ let () =
           Alcotest.test_case "global congestion" `Quick test_cli_global;
           Alcotest.test_case "bad input rejected" `Quick
             test_cli_rejects_bad_input;
+          Alcotest.test_case "-v -v renders debug" `Quick
+            test_cli_verbose_renders_debug;
+          Alcotest.test_case "-q takes over OPTROUTER_LOG" `Quick
+            test_cli_quiet_takes_over_env;
+          Alcotest.test_case "level names" `Quick test_cli_level_names;
         ] );
     ]

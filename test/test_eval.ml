@@ -521,6 +521,25 @@ let test_csv () =
   let s = Report.Csv.to_string ~header:[ "a"; "b" ] [ [ "1"; "x,y" ] ] in
   Alcotest.(check string) "escaped" "a,b\n1,\"x,y\"\n" s
 
+let test_log_counts_suppressed_only () =
+  let module Log = Report.Log in
+  Log.set_sink (Some (fun _ ~src:_ _ -> ()));
+  Fun.protect
+    ~finally:(fun () ->
+      Log.set_level None;
+      Log.set_sink None)
+    (fun () ->
+      Log.set_level (Some Log.Debug);
+      let before = Log.counts () in
+      Log.debug ~src:"test" (fun () -> "rendered");
+      Alcotest.(check (list (pair string int)))
+        "a rendered event is not counted" before (Log.counts ());
+      Log.set_level (Some Log.Info);
+      Log.debug ~src:"test" (fun () -> "suppressed");
+      Alcotest.(check (option int))
+        "a suppressed event is counted" (Some 1)
+        (List.assoc_opt "test" (Log.counts ())))
+
 let contains_substring hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
@@ -683,6 +702,8 @@ let () =
           Alcotest.test_case "table" `Quick test_table_render;
           Alcotest.test_case "series plot" `Quick test_series_plot;
           Alcotest.test_case "csv" `Quick test_csv;
+          Alcotest.test_case "log counts only suppressed events" `Quick
+            test_log_counts_suppressed_only;
           Alcotest.test_case "telemetry root-LP line" `Quick
             test_telemetry_root_lp_line;
           Alcotest.test_case "telemetry golden text" `Quick

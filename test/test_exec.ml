@@ -10,6 +10,7 @@ module Clip = Optrouter_grid.Clip
 module Sweep = Optrouter_eval.Sweep
 module Optrouter = Optrouter_core.Optrouter
 module Milp = Optrouter_ilp.Milp
+module Log = Optrouter_report.Report.Log
 
 (* ------------------------------------------------------------------ *)
 (* Pool basics                                                         *)
@@ -149,45 +150,51 @@ let test_budget_concurrent_never_overgrants () =
   Alcotest.(check bool) "never over-grants" false (Atomic.get overgrant);
   Alcotest.(check int) "all slots returned" slots (Pool.Budget.available b)
 
-(* A reporter that only counts warnings; messages are formatted into a
-   scratch formatter so the [over]/[k] protocol stays honoured. *)
-let counting_reporter count =
-  {
-    Logs.report =
-      (fun _src level ~over k msgf ->
-        if level = Logs.Warning then incr count;
-        msgf (fun ?header:_ ?tags:_ fmt ->
-            Format.ikfprintf
-              (fun _ ->
-                over ();
-                k ())
-              Format.str_formatter fmt));
-  }
+(* [f ()] with Report.Log rendering at [level] into a list, returned
+   beside the result as (level, source, message) events; the silent
+   library default is restored afterwards. Pool workers may log too, so
+   the list is locked. *)
+let with_log_events level f =
+  let events = ref [] and lock = Mutex.create () in
+  Log.set_sink
+    (Some
+       (fun lvl ~src msg ->
+         Mutex.protect lock (fun () -> events := (lvl, src, msg) :: !events)));
+  Log.set_level (Some level);
+  Fun.protect
+    ~finally:(fun () ->
+      Log.set_level None;
+      Log.set_sink None)
+    (fun () ->
+      let r = f () in
+      (r, Mutex.protect lock (fun () -> List.rev !events)))
 
 let test_env_jobs_warns_on_rejects () =
   (* Regression: invalid or non-positive OPTROUTER_JOBS values were
      silently coerced to 1; they must now warn, naming the value. *)
-  let count = ref 0 in
-  let prev_reporter = Logs.reporter () in
-  let prev_level = Logs.level () in
-  Logs.set_reporter (counting_reporter count);
-  Logs.set_level (Some Logs.Warning);
-  Fun.protect
-    ~finally:(fun () ->
-      Logs.set_reporter prev_reporter;
-      Logs.set_level prev_level;
-      Unix.putenv "OPTROUTER_JOBS" "1")
-    (fun () ->
-      Unix.putenv "OPTROUTER_JOBS" "0";
-      Alcotest.(check int) "zero rejected" 1 (Pool.env_jobs ());
-      Unix.putenv "OPTROUTER_JOBS" "-3";
-      Alcotest.(check int) "negative rejected" 1 (Pool.env_jobs ());
-      Unix.putenv "OPTROUTER_JOBS" "bogus";
-      Alcotest.(check int) "garbage rejected" 1 (Pool.env_jobs ());
-      Alcotest.(check int) "one warning per rejected value" 3 !count;
-      Unix.putenv "OPTROUTER_JOBS" "4";
-      Alcotest.(check int) "valid value accepted" 4 (Pool.env_jobs ());
-      Alcotest.(check int) "no warning for valid values" 3 !count)
+  let jobs, events =
+    Fun.protect
+      ~finally:(fun () -> Unix.putenv "OPTROUTER_JOBS" "1")
+      (fun () ->
+        with_log_events Log.Warn (fun () ->
+            List.map
+              (fun v ->
+                Unix.putenv "OPTROUTER_JOBS" v;
+                Pool.env_jobs ())
+              [ "0"; "-3"; "bogus"; "4" ]))
+  in
+  Alcotest.(check (list int)) "rejected values run serially" [ 1; 1; 1; 4 ]
+    jobs;
+  Alcotest.(check (list string)) "one warning per rejected value, none else"
+    [
+      "OPTROUTER_JOBS=0 is not a positive job count; running serially";
+      "OPTROUTER_JOBS=-3 is not a positive job count; running serially";
+      "OPTROUTER_JOBS=\"bogus\" is not an integer; running serially";
+    ]
+    (List.filter_map
+       (fun (l, src, msg) ->
+         if (l, src) = (Log.Warn, "exec") then Some msg else None)
+       events)
 
 (* ------------------------------------------------------------------ *)
 (* qcheck: Pool.map f == List.map f                                    *)
@@ -306,13 +313,19 @@ let test_sweep_telemetry_and_on_entry () =
   Pool.with_pool ~domains:2 (fun pool ->
       let telemetry = ref Sweep.empty_telemetry in
       let seen = ref 0 in
-      let entries =
-        Sweep.sweep ~config:fast_config ~pool ~telemetry
-          ~on_entry:(fun _ -> incr seen)
-          ~tech:Tech.n28_12t ~rules:sweep_rules seed_clips
+      let entries, events =
+        with_log_events Log.Info (fun () ->
+            Sweep.sweep ~config:fast_config ~pool ~telemetry
+              ~on_entry:(fun _ -> incr seen)
+              ~tech:Tech.n28_12t ~rules:sweep_rules seed_clips)
       in
       Alcotest.(check int) "on_entry fires once per entry" (List.length entries)
         !seen;
+      Alcotest.(check int) "one sweep info event per entry"
+        (List.length entries)
+        (List.length
+           (List.filter (fun (l, src, _) -> (l, src) = (Log.Info, "sweep"))
+              events));
       let t = !telemetry in
       Alcotest.(check int) "solves = baselines + rule solves"
         (List.length seed_clips + List.length entries)
