@@ -4,7 +4,7 @@
 
    Usage: main.exe [-j N] [--solver-jobs N] [--no-reuse] [SECTION...]
    Sections: table2 table3 fig7 fig8 fig9 fig10a fig10b fig10c audit
-             ilpsize validate runtime ablation solver lagrangian serve
+             ilpsize validate runtime ablation solver lagrangian
              (default: all)
 
    [-j N] fans the independent ILP solves of the sweep sections (fig10*,
@@ -35,7 +35,13 @@
      OPTROUTER_BENCH_ROOT_BUDGET  wall seconds per root-LP solve of the
                                   solver section (default: the smaller of
                                   10 and OPTROUTER_BENCH_TIME)
-   The lagrangian and serve sections document their own knobs. *)
+     OPTROUTER_BENCH_LAG_CLIPS    paper-size clips per technology of the
+                                  lagrangian section (default 20)
+     OPTROUTER_BENCH_LAG_ITERS    sub-gradient iterations per lagrangian
+                                  solve (default 40)
+
+   The serve daemon's load generator is perfbench's serve-mixed workload
+   (python3 perfbench/run.py --workload serve-mixed --seed 1 --seconds 30). *)
 
 module Tech = Optrouter_tech.Tech
 module Rules = Optrouter_tech.Rules
@@ -59,7 +65,6 @@ module Lagrangian = Optrouter_lagrangian.Lagrangian
 module Pool = Optrouter_exec.Pool
 module Lp_audit = Optrouter_analysis.Lp_audit
 module Clipfile = Optrouter_clipfile.Clipfile
-module Serve = Optrouter_serve.Serve
 
 let env_int name default =
   match Sys.getenv_opt name with
@@ -1168,162 +1173,6 @@ let section_audit () =
   Printf.printf "[audit report written to %s]\n%!" path;
   if !errors > 0 then exit 1
 
-(* ------------------------------------------------------------------ *)
-(* serve: routing-as-a-service load generator                          *)
-(* ------------------------------------------------------------------ *)
-
-(* Drives a real daemon over a temp Unix socket: difficult N28-12T clips
-   across several rule configurations, requested for several passes.
-   Pass 1 is all cold solves; later passes must be answered from the
-   cache, byte-identically — any proven-payload divergence fails the
-   bench. Latencies are measured client-side (connect + frame + parse
-   included, i.e. what a caller actually waits), split cold vs hit, and
-   summarised as nearest-rank p50/p99 in results/BENCH_serve.json.
-
-     OPTROUTER_BENCH_SERVE_CLIPS   clips requested      (default 2)
-     OPTROUTER_BENCH_SERVE_RULES   rule configurations  (default 4)
-     OPTROUTER_BENCH_SERVE_PASSES  passes over the set  (default 3) *)
-let section_serve () =
-  banner "serve: routing-as-a-service daemon + result cache";
-  let tech = Tech.n28_12t in
-  let passes = max 2 (env_int "OPTROUTER_BENCH_SERVE_PASSES" 3) in
-  let nclips = env_int "OPTROUTER_BENCH_SERVE_CLIPS" 2 in
-  let time_limit = env_float "OPTROUTER_BENCH_TIME" 15.0 in
-  let clips =
-    Experiments.difficult_clips
-      ~params:{ bench_params with Experiments.top_clips = nclips }
-      tech
-  in
-  let rule_ids =
-    let applicable =
-      List.filter
-        (fun n -> Rules.applicable ~tech_name:tech.Tech.name (Rules.rule n))
-        (List.init 11 (fun i -> i + 1))
-    in
-    let cap = env_int "OPTROUTER_BENCH_SERVE_RULES" 4 in
-    List.filteri (fun i _ -> i < cap) applicable
-  in
-  let dir = Filename.temp_file "optrouter-serve-bench" "" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o755;
-  let sock = Filename.concat dir "bench.sock" in
-  let config =
-    Optrouter.make_config
-      ~milp:(Milp.make_params ~max_nodes:500_000 ~time_limit_s:time_limit ())
-      ()
-  in
-  let engine =
-    Serve.create
-      (Serve.make_params
-         ~cache_dir:(Filename.concat dir "cache")
-         ~time_limit_s:time_limit ~config ())
-  in
-  let daemon =
-    Domain.spawn (fun () -> Serve.run engine [ Serve.Unix_socket sock ])
-  in
-  let fd = Serve.connect (Serve.Unix_socket sock) in
-  let baseline = Hashtbl.create 16 in
-  let cold = ref [] in
-  let hit = ref [] in
-  let hit_count = ref 0 in
-  let cold_count = ref 0 in
-  let limits = ref 0 in
-  let mismatches = ref 0 in
-  let proven payload =
-    String.length payload >= 9
-    && (String.sub payload 0 14 = "verdict routed"
-       || String.sub payload 0 9 = "verdict u")
-  in
-  for pass = 1 to passes do
-    List.iteri
-      (fun ci clip ->
-        List.iter
-          (fun rn ->
-            let msg = Serve.text_request ~rule:rn (Clipfile.to_string clip) in
-            let t0 = Unix.gettimeofday () in
-            let frame = Serve.roundtrip fd msg in
-            let latency = Unix.gettimeofday () -. t0 in
-            match Serve.parse_response frame with
-            | Ok (status, payload) ->
-              (* Limit payloads are wall-clock artefacts: the cache never
-                 serves them, and repeat solves may legitimately differ —
-                 byte-identity is asserted for proven results only. *)
-              if proven payload then begin
-                match Hashtbl.find_opt baseline (ci, rn) with
-                | None -> Hashtbl.replace baseline (ci, rn) payload
-                | Some first ->
-                  if first <> payload then begin
-                    incr mismatches;
-                    Printf.printf
-                      "PAYLOAD MISMATCH: clip %d rule %d pass %d\n" ci rn pass
-                  end
-              end
-              else incr limits;
-              (match status with
-              | Some (Serve.Hit_memory | Serve.Hit_disk) ->
-                incr hit_count;
-                hit := latency :: !hit
-              | Some (Serve.Miss | Serve.Bypass) | None ->
-                incr cold_count;
-                cold := latency :: !cold)
-            | Error e ->
-              incr mismatches;
-              Printf.printf "request failed (clip %d rule %d): %s\n" ci rn e)
-          rule_ids)
-      clips
-  done;
-  print_string (Serve.roundtrip fd (Serve.stats_line ^ "\n"));
-  ignore (Serve.roundtrip fd (Serve.shutdown_line ^ "\n"));
-  Domain.join daemon;
-  Serve.destroy engine;
-  (try Unix.close fd with Unix.Unix_error (_, _, _) -> ());
-  let requests = !hit_count + !cold_count in
-  let hit_rate =
-    if requests = 0 then 0.0 else float_of_int !hit_count /. float_of_int requests
-  in
-  let pct p values = Report.Stats.percentile p (Array.of_list values) in
-  let summary name values =
-    match values with
-    | [] ->
-      Printf.printf "%s: no samples\n" name;
-      Report.Json.Obj [ ("n", Report.Json.Int 0) ]
-    | _ ->
-      let p50 = pct 50.0 values and p99 = pct 99.0 values in
-      Printf.printf "%s: n=%d p50=%.3f ms p99=%.3f ms\n" name
-        (List.length values) (p50 *. 1e3) (p99 *. 1e3);
-      Report.Json.Obj
-        [
-          ("n", Report.Json.Int (List.length values));
-          ("p50_s", Report.Json.Float p50);
-          ("p99_s", Report.Json.Float p99);
-        ]
-  in
-  let cold_json = summary "cold (miss)" !cold in
-  let hit_json = summary "cache hit" !hit in
-  Printf.printf "requests=%d hits=%d misses=%d limits=%d hit rate=%.0f%%\n"
-    requests !hit_count !cold_count !limits (100.0 *. hit_rate);
-  ensure_results_dir ();
-  let path = Filename.concat results_dir "BENCH_serve.json" in
-  Report.Json.write_file path
-    (Report.Json.Obj
-       [
-         ("tech", Report.Json.String tech.Tech.name);
-         ("clips", Report.Json.Int (List.length clips));
-         ( "rules",
-           Report.Json.List (List.map (fun n -> Report.Json.Int n) rule_ids) );
-         ("passes", Report.Json.Int passes);
-         ("requests", Report.Json.Int requests);
-         ("hits", Report.Json.Int !hit_count);
-         ("misses", Report.Json.Int !cold_count);
-         ("limits", Report.Json.Int !limits);
-         ("hit_rate", Report.Json.Float hit_rate);
-         ("cold", cold_json);
-         ("hit", hit_json);
-         ("mismatches", Report.Json.Int !mismatches);
-       ]);
-  Printf.printf "[serve bench written to %s]\n%!" path;
-  if !mismatches > 0 then exit 1
-
 let sections =
   [
     ("table2", section_table2);
@@ -1341,7 +1190,6 @@ let sections =
     ("ablation", section_ablation);
     ("solver", section_solver);
     ("lagrangian", section_lagrangian);
-    ("serve", section_serve);
   ]
 
 let parse_args argv =

@@ -957,8 +957,8 @@ let do_request socket port rule tech deadline no_cache stats shutdown path () =
   end;
   let fd = Serve.connect listener in
   let failed = ref false in
-  (* Per-request status and timing go to stderr; stdout carries only the
-     result payloads, so two runs of the same request can be compared
+  (* Each reply's cache-status line goes to stderr; stdout carries only
+     the result payloads, so two runs of the same request can be compared
      byte-for-byte (the CI smoke test does exactly that). *)
   (match path with
   | None -> ()

@@ -147,9 +147,8 @@ module Json = struct
     | Bool b -> Buffer.add_string buf (string_of_bool b)
     | Int i -> Buffer.add_string buf (string_of_int i)
     | Float f ->
-      (* JSON has no NaN/infinity, and our own parser (below) rejects
-         such literals — refusing to emit them keeps emit/parse a
-         round-trip instead of producing a document we cannot re-read. *)
+      (* JSON has no NaN/infinity: refuse to emit a document that no JSON
+         reader can parse. *)
       if not (Float.is_finite f) then
         invalid_arg (Printf.sprintf "Report.Json: non-finite float %h" f);
       (* Shortest representation that parses back to the same float:
@@ -158,8 +157,8 @@ module Json = struct
         let short = Printf.sprintf "%.15g" f in
         if float_of_string short = f then short else Printf.sprintf "%.17g" f
       in
-      (* Keep the token recognisably a float: without [./e/E] the parser
-         would hand it back as [Int]. *)
+      (* Keep the token recognisably a float: without [./e/E] a reader
+         would take it for an integer. *)
       let is_float_token =
         String.exists (fun c -> c = '.' || c = 'e' || c = 'E') token
       in
@@ -204,179 +203,6 @@ module Json = struct
     Buffer.contents buf
 
   let write_file path v = write_atomic path (to_string v)
-
-  (* A small strict parser, the inverse of [to_string] — enough for the
-     serve daemon's JSON request envelope and for re-reading our own
-     reports. Integers without [./e/E] parse as [Int]; anything else
-     numeric as [Float]; non-finite literals are rejected (JSON has
-     none). *)
-  let of_string s =
-    let n = String.length s in
-    let exception Bad of string in
-    let pos = ref 0 in
-    let peek () = if !pos < n then Some s.[!pos] else None in
-    let fail fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt in
-    let skip_ws () =
-      while
-        !pos < n
-        && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-      do
-        incr pos
-      done
-    in
-    let expect c =
-      if peek () = Some c then incr pos
-      else fail "expected '%c' at offset %d" c !pos
-    in
-    let literal word v =
-      if !pos + String.length word <= n && String.sub s !pos (String.length word) = word
-      then begin
-        pos := !pos + String.length word;
-        v
-      end
-      else fail "bad literal at offset %d" !pos
-    in
-    let parse_string () =
-      expect '"';
-      let buf = Buffer.create 16 in
-      let rec go () =
-        if !pos >= n then fail "unterminated string";
-        let c = s.[!pos] in
-        incr pos;
-        if c = '"' then Buffer.contents buf
-        else if c = '\\' then begin
-          (if !pos >= n then fail "unterminated escape");
-          let e = s.[!pos] in
-          incr pos;
-          (match e with
-          | '"' -> Buffer.add_char buf '"'
-          | '\\' -> Buffer.add_char buf '\\'
-          | '/' -> Buffer.add_char buf '/'
-          | 'n' -> Buffer.add_char buf '\n'
-          | 'r' -> Buffer.add_char buf '\r'
-          | 't' -> Buffer.add_char buf '\t'
-          | 'b' -> Buffer.add_char buf '\b'
-          | 'f' -> Buffer.add_char buf '\012'
-          | 'u' ->
-            if !pos + 4 > n then fail "truncated \\u escape";
-            let hex = String.sub s !pos 4 in
-            pos := !pos + 4;
-            (match int_of_string_opt ("0x" ^ hex) with
-            | Some code when code < 0x80 -> Buffer.add_char buf (Char.chr code)
-            | Some code ->
-              (* Non-ASCII escapes: UTF-8 encode the code point (no
-                 surrogate-pair handling; our own writer only escapes
-                 control characters, which are ASCII). *)
-              if code < 0x800 then begin
-                Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-                Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-              end
-              else begin
-                Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-                Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-                Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-              end
-            | None -> fail "bad \\u escape %S" hex)
-          | c -> fail "bad escape '\\%c'" c);
-          go ()
-        end
-        else begin
-          Buffer.add_char buf c;
-          go ()
-        end
-      in
-      go ()
-    in
-    let parse_number () =
-      let start = !pos in
-      let numchar c =
-        match c with
-        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-        | _ -> false
-      in
-      while !pos < n && numchar s.[!pos] do
-        incr pos
-      done;
-      let tok = String.sub s start (!pos - start) in
-      let is_int =
-        not (String.exists (fun c -> c = '.' || c = 'e' || c = 'E') tok)
-      in
-      if is_int then
-        match int_of_string_opt tok with
-        | Some i -> Int i
-        | None -> fail "bad number %S at offset %d" tok start
-      else
-        match float_of_string_opt tok with
-        | Some f when Float.is_finite f -> Float f
-        | Some _ | None -> fail "bad number %S at offset %d" tok start
-    in
-    let rec parse_value () =
-      skip_ws ();
-      match peek () with
-      | None -> fail "unexpected end of input"
-      | Some '"' -> String (parse_string ())
-      | Some 't' -> literal "true" (Bool true)
-      | Some 'f' -> literal "false" (Bool false)
-      | Some 'n' -> literal "null" Null
-      | Some '[' ->
-        incr pos;
-        skip_ws ();
-        if peek () = Some ']' then begin
-          incr pos;
-          List []
-        end
-        else begin
-          let items = ref [ parse_value () ] in
-          skip_ws ();
-          while peek () = Some ',' do
-            incr pos;
-            items := parse_value () :: !items;
-            skip_ws ()
-          done;
-          expect ']';
-          List (List.rev !items)
-        end
-      | Some '{' ->
-        incr pos;
-        skip_ws ();
-        if peek () = Some '}' then begin
-          incr pos;
-          Obj []
-        end
-        else begin
-          let field () =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            (k, v)
-          in
-          let fields = ref [ field () ] in
-          skip_ws ();
-          while peek () = Some ',' do
-            incr pos;
-            fields := field () :: !fields;
-            skip_ws ()
-          done;
-          expect '}';
-          Obj (List.rev !fields)
-        end
-      | Some ('-' | '0' .. '9') -> parse_number ()
-      | Some c -> fail "unexpected '%c' at offset %d" c !pos
-    in
-    match
-      let v = parse_value () in
-      skip_ws ();
-      if !pos <> n then fail "trailing garbage at offset %d" !pos;
-      v
-    with
-    | v -> Ok v
-    | exception Bad msg -> Error msg
-
-  let member key = function
-    | Obj fields -> List.assoc_opt key fields
-    | _ -> None
 end
 
 module Log = struct
@@ -487,19 +313,4 @@ module Csv = struct
     String.concat "\n" (line header :: List.map line rows) ^ "\n"
 
   let write_file path ~header rows = write_atomic path (to_string ~header rows)
-end
-
-module Stats = struct
-  let percentile p values =
-    if Array.length values = 0 then
-      invalid_arg "Report.Stats.percentile: empty sample";
-    if p < 0.0 || p > 100.0 then
-      invalid_arg "Report.Stats.percentile: p outside [0,100]";
-    let sorted = Array.copy values in
-    Array.sort Float.compare sorted;
-    let n = Array.length sorted in
-    (* Nearest-rank: the smallest value with at least p% of the sample at
-       or below it. *)
-    let rank = Optrouter_geom.Round.ceil (p /. 100.0 *. float_of_int n) in
-    sorted.(max 0 (min (n - 1) (rank - 1)))
 end

@@ -32,24 +32,18 @@ module Series : sig
     string
 end
 
-module Stats : sig
-  (** [percentile p values] is the nearest-rank [p]th percentile (the
-      smallest sample value with at least [p]% of the sample at or below
-      it) of the unsorted array [values]. [p] is in [0, 100]. Raises
-      [Invalid_argument] on an empty sample or out-of-range [p]. *)
-  val percentile : float -> float array -> float
-end
-
 module Json : sig
-  (** A minimal JSON document builder — enough for the benchmark and audit
-      reports (objects, arrays, scalars; pretty-printed, trailing
-      newline). Floats are emitted with the shortest decimal
-      representation that re-parses to the same [float], always carrying
-      a [./e] so {!of_string} hands them back as [Float] — emit followed
-      by parse is the identity on finite documents. {!to_string} raises
-      [Invalid_argument] on NaN/infinity: JSON has no such literals and
-      the parser rejects them, so emitting one would break the
-      round-trip contract silently. *)
+  (** A minimal JSON document emitter for the benchmark and audit reports
+      (objects, arrays, scalars; pretty-printed, trailing newline). The
+      library writes JSON but never reads it; readers live outside, such
+      as CI's Python checks.
+
+      Float contract for those readers: each [Float] is emitted as the
+      shortest decimal token that reads back to the same [float] bit for
+      bit, and the token always carries a [.] or an [e], so a JSON reader
+      returns a float, never an integer. {!to_string} raises
+      [Invalid_argument] on NaN or infinity: JSON has no such literals,
+      so emitting one would produce a document no reader accepts. *)
 
   type t =
     | Null
@@ -64,16 +58,6 @@ module Json : sig
 
   (** Atomic (see {!Report.write_atomic}). *)
   val write_file : string -> t -> unit
-
-  (** Strict parser for the subset {!to_string} emits (all of JSON minus
-      surrogate-pair [\u] escapes). Integer tokens parse as [Int], other
-      numbers as [Float]; non-finite numbers do not exist in JSON and are
-      rejected. Errors carry a byte offset. *)
-  val of_string : string -> (t, string) result
-
-  (** [member key json] is the value of field [key] when [json] is an
-      [Obj] containing one, else [None]. *)
-  val member : string -> t -> t option
 end
 
 module Log : sig

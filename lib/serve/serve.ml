@@ -301,7 +301,9 @@ let request_header = "optrouter-request v1"
 let shutdown_line = "optrouter-shutdown"
 let stats_line = "optrouter-stats"
 
-let finish_request ?tech_name ?deadline_s ~no_cache ~rule body =
+(* The headers, the deadline included, are already checked; parse and
+   validate the clip body, then resolve the rule and the tech. *)
+let finish_request ~tech_name ~deadline_s ~no_cache ~rule body =
   let ( let* ) = Result.bind in
   let* clip = Clipfile.one_of_string body in
   let* () = Clip.validate clip in
@@ -323,15 +325,9 @@ let finish_request ?tech_name ?deadline_s ~no_cache ~rule body =
         (Printf.sprintf "%s is not evaluable on %s" rules.Rules.name
            tech.Tech.name)
   in
-  let* () =
-    match deadline_s with
-    | Some d when (not (Float.is_finite d)) || d <= 0.0 ->
-      Error (Printf.sprintf "bad deadline %g" d)
-    | Some _ | None -> Ok ()
-  in
   Ok { tech; rules; clip; deadline_s; no_cache }
 
-let parse_text_request msg =
+let parse_request msg =
   let lines = String.split_on_char '\n' msg in
   match lines with
   | header :: rest when String.trim header = request_header ->
@@ -354,7 +350,7 @@ let parse_text_request msg =
           match rule with
           | None -> Error "missing rule header"
           | Some rule ->
-            finish_request ?tech_name ?deadline_s ~no_cache ~rule
+            finish_request ~tech_name ~deadline_s ~no_cache ~rule
               (String.concat "\n" body_lines))
         | [ "tech"; name ] ->
           headers ~tech_name:(Some name) ~rule ~deadline_s ~no_cache more
@@ -363,10 +359,9 @@ let parse_text_request msg =
           | Some n -> headers ~tech_name ~rule:(Some n) ~deadline_s ~no_cache more
           | None -> Error (Printf.sprintf "bad rule %S" n))
         | [ "deadline"; d ] -> (
-          (* Reject nan/inf/non-positive here, not just in
-             [finish_request]: [float_of_string_opt] happily parses
-             "nan" and "inf", and a NaN deadline would otherwise slip
-             through comparisons (NaN <= 0.0 is false). *)
+          (* [float_of_string_opt] happily parses "nan" and "inf", and a
+             NaN deadline would slip through comparisons (NaN <= 0.0 is
+             false), so only finite positive values pass. *)
           match float_of_string_opt d with
           | Some f when Float.is_finite f && f > 0.0 ->
             headers ~tech_name ~rule ~deadline_s:(Some f) ~no_cache more
@@ -379,39 +374,6 @@ let parse_text_request msg =
   | first :: _ ->
     Error (Printf.sprintf "bad request header %S" (String.trim first))
   | [] -> Error "empty request"
-
-let parse_json_request msg =
-  match Report.Json.of_string msg with
-  | Error e -> Error ("bad JSON request: " ^ e)
-  | Ok doc -> (
-    let str key =
-      match Report.Json.member key doc with
-      | Some (Report.Json.String s) -> Some s
-      | Some _ | None -> None
-    in
-    let num key =
-      match Report.Json.member key doc with
-      | Some (Report.Json.Float f) -> Some f
-      | Some (Report.Json.Int i) -> Some (float_of_int i)
-      | Some _ | None -> None
-    in
-    match (Report.Json.member "rule" doc, str "clip") with
-    | Some (Report.Json.Int rule), Some body ->
-      let no_cache =
-        match Report.Json.member "no_cache" doc with
-        | Some (Report.Json.Bool b) -> b
-        | Some _ | None -> false
-      in
-      finish_request ?tech_name:(str "tech") ?deadline_s:(num "deadline_s")
-        ~no_cache ~rule body
-    | None, _ | Some _, _ when str "clip" = None ->
-      Error "JSON request needs a \"clip\" string field"
-    | _ -> Error "JSON request needs an integer \"rule\" field")
-
-let parse_request msg =
-  let trimmed = String.trim msg in
-  if trimmed <> "" && trimmed.[0] = '{' then parse_json_request trimmed
-  else parse_text_request msg
 
 (* ------------------------------------------------------------------ *)
 (* Wire framing                                                        *)
@@ -517,11 +479,11 @@ type conn = {
       (** reversed lines of an in-progress text request frame *)
 }
 
-(* Split freshly read bytes into complete wire messages. Text request
-   frames span [optrouter-request v1] .. [endrequest]; JSON requests and
-   control messages are single lines. Unrecognised single lines become
-   messages too — [parse_request] turns them into error replies, keeping
-   protocol errors on the same response channel as everything else. *)
+(* Split freshly read bytes into complete wire messages. Request frames
+   span [optrouter-request v1] .. [endrequest]; control messages are
+   single lines. Unrecognised single lines become messages too —
+   [parse_request] turns them into error replies, keeping protocol errors
+   on the same response channel as everything else. *)
 let feed conn data =
   let data = conn.residue ^ data in
   let msgs = ref [] in
@@ -556,7 +518,8 @@ let write_all fd s =
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
   in
   (* A peer that hung up mid-reply is its own problem; the daemon must
-     not die on EPIPE. *)
+     not die on EPIPE ([run] ignores SIGPIPE, so the write fails here
+     instead of killing the process). *)
   try go 0
   with Unix.Unix_error (_, _, _) -> ()
 
@@ -575,6 +538,9 @@ let bind_listener = function
     (fd, None)
 
 let run t listeners =
+  (* The default SIGPIPE disposition kills the process on a write to a
+     hung-up peer before [write_all] can see EPIPE. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let listening = List.map bind_listener listeners in
   let listen_fds = List.map fst listening in
   let conns : (Unix.file_descr, conn) Hashtbl.t = Hashtbl.create 16 in

@@ -10,7 +10,8 @@
 
     {2 Wire protocol}
 
-    Line-oriented, one request at a time per connection. Text form:
+    Line-oriented, one request at a time per connection. A request is
+    one text frame:
     {v
     optrouter-request v1
     tech N28-12T        (optional; defaults to the clip's tech line)
@@ -21,12 +22,6 @@
     ...clipfile body...
     endclip
     endrequest
-    v}
-
-    JSON form — a single line starting with [{]:
-    {v
-    {"rule": 3, "clip": "clip q\n...endclip\n", "tech": "N28-12T",
-     "deadline_s": 5.0, "no_cache": false}
     v}
 
     Control lines: [optrouter-stats] (returns cache/serve counters) and
@@ -141,19 +136,26 @@ val handle : t -> request -> (reply, string) result
     back in request order. *)
 val handle_batch : t -> request list -> (reply, string) result list
 
-(** [parse_request t s] parses one wire message (text or JSON form). *)
+(** [parse_request s] parses one request frame. Any other message,
+    such as a JSON line, is an error ([bad request header ...]), which
+    the daemon answers with an error frame. *)
 val parse_request : string -> (request, string) result
 
 (** {2 Daemon} *)
 
 (** [run t listeners] binds the listeners and serves until an
     [optrouter-shutdown] message arrives (drains pending requests
-    first). Unix-socket paths are unlinked on exit. *)
+    first). Unix-socket paths are unlinked on exit.
+
+    [run] sets the process's SIGPIPE disposition to ignore, so a client
+    that hangs up before its reply arrives makes that write fail with
+    EPIPE instead of killing the process; the daemon drops the reply and
+    keeps serving. The setting stays after [run] returns. *)
 val run : t -> listener list -> unit
 
-(** {2 Client helpers} (used by the CLI, tests and the bench) *)
+(** {2 Client helpers} (used by the CLI, the tests and perfbench) *)
 
-(** Render the text-form request frame from raw clipfile text. *)
+(** Render a request frame from raw clipfile text. *)
 val text_request :
   ?tech:string ->
   ?deadline_s:float ->

@@ -21,6 +21,12 @@ let eol_clip =
   Clip.make ~name:"eol" ~cols:4 ~rows:1 ~layers:2
     [ two_pin "a" (0, 0) (1, 0); two_pin "b" (2, 0) (3, 0) ]
 
+(* The samples' eol-conflict clip, which the CI daemon smoke requests:
+   its RULE3 cold solve takes milliseconds, far above a cache hit. *)
+let eol_conflict_clip =
+  Clip.make ~name:"eol-conflict" ~cols:4 ~rows:3 ~layers:3
+    [ two_pin "a" (0, 1) (1, 1); two_pin "b" (2, 1) (3, 1) ]
+
 let fast_config =
   Optrouter.make_config
     ~milp:(Milp.make_params ~max_nodes:5_000 ~time_limit_s:20.0 ())
@@ -419,32 +425,19 @@ let test_text_request_roundtrip () =
     Alcotest.(check string) "clip round-trips" (Clipfile.to_string eol_clip)
       (Clipfile.to_string req.Serve.clip)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let test_json_request () =
+(* The daemon speaks one request format: a JSON line, even a well-formed
+   one, is an unknown frame like any other line. *)
+let test_json_request_refused () =
   let msg =
-    Printf.sprintf
-      "{\"rule\": 6, \"clip\": \"%s\", \"deadline_s\": 1.5, \"no_cache\": true}"
-      (json_escape (Clipfile.to_string eol_clip))
+    Printf.sprintf "{\"rule\": 4, \"clip\": %S}\n" (Clipfile.to_string eol_clip)
   in
   match Serve.parse_request msg with
-  | Error e -> Alcotest.fail e
-  | Ok req ->
-    Alcotest.(check string) "rule" "RULE6" req.Serve.rules.Rules.name;
-    Alcotest.(check (option (float 1e-9))) "deadline" (Some 1.5)
-      req.Serve.deadline_s;
-    Alcotest.(check bool) "no_cache" true req.Serve.no_cache;
-    Alcotest.(check string) "clip round-trips" (Clipfile.to_string eol_clip)
-      (Clipfile.to_string req.Serve.clip)
+  | Ok _ -> Alcotest.fail "a JSON request line must be refused"
+  | Error e ->
+    Alcotest.(check bool)
+      (Printf.sprintf "bad request header error (got %S)" e)
+      true
+      (String.starts_with ~prefix:"bad request header" e)
 
 let test_request_parse_errors () =
   let clip_text = Clipfile.to_string eol_clip in
@@ -460,7 +453,7 @@ let test_request_parse_errors () =
         Serve.text_request ~tech:"N3-XYZ" ~rule:4 clip_text );
       ("bad deadline", Serve.text_request ~deadline_s:(-1.0) ~rule:4 clip_text);
       ("empty body", Serve.text_request ~rule:4 "");
-      ("bad json", "{\"rule\": 4}\n");
+      ("JSON line", "{\"rule\": 4}\n");
     ]
 
 (* [float_of_string_opt] parses "nan"/"inf", so the deadline header needs
@@ -478,17 +471,6 @@ let test_deadline_token_validation () =
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "deadline %S must be a protocol error" token)
     [ "nan"; "-nan"; "inf"; "infinity"; "-inf"; "0"; "0.0"; "-3.5"; "later" ];
-  (* JSON requests share the same gate via [finish_request]. *)
-  List.iter
-    (fun js ->
-      let msg =
-        Printf.sprintf "{\"rule\": 4, \"clip\": \"%s\", \"deadline_s\": %s}"
-          (json_escape clip_text) js
-      in
-      match Serve.parse_request msg with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.failf "JSON deadline %s must be a protocol error" js)
-    [ "-1.5"; "0" ];
   (* The boundary stays permissive: any finite positive value is fine. *)
   match Serve.parse_request (raw "1e-9") with
   | Ok req ->
@@ -517,6 +499,8 @@ let test_parse_response_frames () =
 (* Daemon end to end                                                   *)
 (* ------------------------------------------------------------------ *)
 
+let status_name = function Some s -> Serve.status_line s | None -> "none"
+
 let test_daemon_end_to_end () =
   let dir = fresh_dir "optrouter-serve" in
   let sock = Filename.concat dir "d.sock" in
@@ -527,24 +511,47 @@ let test_daemon_end_to_end () =
   let t = Serve.create params in
   let daemon = Domain.spawn (fun () -> Serve.run t [ Serve.Unix_socket sock ]) in
   let fd = Serve.connect (Serve.Unix_socket sock) in
-  let msg = Serve.text_request ~rule:4 (Clipfile.to_string eol_clip) in
-  let first = Serve.parse_response (Serve.roundtrip fd msg) in
+  let msg = Serve.text_request ~rule:3 (Clipfile.to_string eol_conflict_clip) in
+  (* Round trips timed as a caller waits for them. *)
+  let timed_roundtrip () =
+    let t0 = Unix.gettimeofday () in
+    let frame = Serve.roundtrip fd msg in
+    (Serve.parse_response frame, Unix.gettimeofday () -. t0)
+  in
+  let first, miss_s = timed_roundtrip () in
   let second = Serve.parse_response (Serve.roundtrip fd msg) in
-  (match (first, second) with
-  | Ok (Some Serve.Miss, p1), Ok (Some Serve.Hit_memory, p2) ->
-    Alcotest.(check string) "identical payloads over the wire" p1 p2
-  | Ok (s1, _), Ok (s2, _) ->
-    Alcotest.failf "expected miss then memory hit, got %s then %s"
-      (match s1 with Some s -> Serve.status_line s | None -> "none")
-      (match s2 with Some s -> Serve.status_line s | None -> "none")
-  | Error e, _ | _, Error e -> Alcotest.fail e);
+  let p1 =
+    match (first, second) with
+    | Ok (Some Serve.Miss, p1), Ok (Some Serve.Hit_memory, p2) ->
+      Alcotest.(check string) "identical payloads over the wire" p1 p2;
+      p1
+    | Ok (s1, _), Ok (s2, _) ->
+      Alcotest.failf "expected miss then memory hit, got %s then %s"
+        (status_name s1) (status_name s2)
+    | Error e, _ | _, Error e -> Alcotest.fail e
+  in
+  let hits = List.init 5 (fun _ -> timed_roundtrip ()) in
+  List.iter
+    (function
+      | Ok (Some Serve.Hit_memory, p), _ ->
+        Alcotest.(check string) "timed hit is identical too" p1 p
+      | Ok (s, _), _ -> Alcotest.failf "expected a memory hit, got %s" (status_name s)
+      | Error e, _ -> Alcotest.fail e)
+    hits;
+  (* Answering from the cache must beat a cold solve by at least 10x. *)
+  let median_hit_s = List.nth (List.sort Float.compare (List.map snd hits)) 2 in
+  Alcotest.(check bool)
+    (Printf.sprintf "median hit %.3f ms x 10 <= miss %.3f ms"
+       (median_hit_s *. 1e3) (miss_s *. 1e3))
+    true
+    (median_hit_s *. 10.0 <= miss_s);
   let stats = Serve.roundtrip fd (Serve.stats_line ^ "\n") in
   Alcotest.(check string) "stats frame"
     "optrouter-response v1\n\
      cache stats\n\
      elapsed 0.000000\n\
-     serve telemetry: 2 requests, cache 1 hit (1 memory, 0 disk) / 1 miss \
-     (50% hit rate)\n\
+     serve telemetry: 7 requests, cache 6 hits (6 memory, 0 disk) / 1 miss \
+     (86% hit rate)\n\
     \                 1 store, 0 evictions\n\
      endresponse\n"
     stats;
@@ -554,6 +561,37 @@ let test_daemon_end_to_end () =
   Domain.join daemon;
   Serve.destroy t;
   Alcotest.(check bool) "socket unlinked on exit" false (Sys.file_exists sock)
+
+(* A client that hangs up before its reply arrives must cost the daemon
+   nothing: the reply's write fails with EPIPE instead of killing the
+   process, and the next client is answered, from the cache the first
+   request filled. *)
+let test_daemon_survives_hung_up_client () =
+  let dir = fresh_dir "optrouter-serve" in
+  let sock = Filename.concat dir "d.sock" in
+  let t =
+    Serve.create (Serve.make_params ~time_limit_s:20.0 ~config:fast_config ())
+  in
+  let daemon = Domain.spawn (fun () -> Serve.run t [ Serve.Unix_socket sock ]) in
+  let msg = Serve.text_request ~rule:3 (Clipfile.to_string eol_conflict_clip) in
+  let a = Serve.connect (Serve.Unix_socket sock) in
+  let sent = Unix.write_substring a msg 0 (String.length msg) in
+  Alcotest.(check int) "client A sent its whole request" (String.length msg) sent;
+  Unix.close a;
+  let b = Serve.connect (Serve.Unix_socket sock) in
+  (match Serve.parse_response (Serve.roundtrip b msg) with
+  | Ok (Some Serve.Hit_memory, payload) ->
+    Alcotest.(check string) "client B gets the proven payload"
+      (Serve.payload_of_result
+         (Optrouter.route ~config:fast_config ~tech:Tech.n28_12t
+            ~rules:(Rules.rule 3) eol_conflict_clip))
+      payload
+  | Ok (s, _) -> Alcotest.failf "expected a memory hit, got %s" (status_name s)
+  | Error e -> Alcotest.fail e);
+  ignore (Serve.roundtrip b (Serve.shutdown_line ^ "\n"));
+  Domain.join daemon;
+  Serve.destroy t;
+  Unix.close b
 
 (* ------------------------------------------------------------------ *)
 
@@ -602,7 +640,8 @@ let () =
         [
           Alcotest.test_case "text request round trip" `Quick
             test_text_request_roundtrip;
-          Alcotest.test_case "json request" `Quick test_json_request;
+          Alcotest.test_case "a JSON request line is refused" `Quick
+            test_json_request_refused;
           Alcotest.test_case "request parse errors" `Quick
             test_request_parse_errors;
           Alcotest.test_case "deadline token validation" `Quick
@@ -610,5 +649,10 @@ let () =
           Alcotest.test_case "response frames" `Quick test_parse_response_frames;
         ] );
       ( "daemon",
-        [ Alcotest.test_case "end to end over a socket" `Quick test_daemon_end_to_end ] );
+        [
+          Alcotest.test_case "end to end over a socket" `Quick
+            test_daemon_end_to_end;
+          Alcotest.test_case "a hung-up client does not stop the daemon" `Quick
+            test_daemon_survives_hung_up_client;
+        ] );
     ]
