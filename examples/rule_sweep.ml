@@ -43,11 +43,7 @@ let () =
       ~milp:(Optrouter_ilp.Milp.make_params ~time_limit_s:15.0 ())
       ()
   in
-  let entries =
-    List.concat_map
-      (fun (clip, _) -> Sweep.clip_deltas ~config ~tech ~rules clip)
-      hardest
-  in
+  let entries = Sweep.sweep ~config ~tech ~rules (List.map fst hardest) in
   let rows =
     List.map
       (fun (e : Sweep.entry) ->

@@ -37,8 +37,6 @@ type diagnostic = {
   message : string;
 }
 
-val severity_name : severity -> string
-
 (** Diagnostics of the given severity. *)
 val by_severity : severity -> diagnostic list -> diagnostic list
 

@@ -127,7 +127,6 @@ let find cells name =
 
 let inputs c = List.filter (fun p -> not p.is_output) c.pins
 let outputs c = List.filter (fun p -> p.is_output) c.pins
-let access_count c = List.fold_left (fun acc p -> acc + List.length p.offsets) 0 c.pins
 
 let render tech c =
   let h = tech.Tech.cell_height_tracks in

@@ -43,9 +43,6 @@ val find : t list -> string -> t
 val inputs : t -> pin list
 val outputs : t -> pin list
 
-(** Total access points over all pins. *)
-val access_count : t -> int
-
 (** ASCII rendering of the cell's pin layout (Figure 9 style). *)
 val render : Optrouter_tech.Tech.t -> t -> string
 

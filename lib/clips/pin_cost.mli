@@ -13,8 +13,6 @@
     of clips matters downstream. Port pins synthesised at clip boundaries
     carry no shape and contribute to PEC only. *)
 
-val default_theta : float
-
 val pec : Optrouter_grid.Clip.t -> float
 val pac : ?theta:float -> Optrouter_grid.Clip.t -> float
 val prc : ?theta:float -> Optrouter_grid.Clip.t -> float

@@ -147,8 +147,27 @@ let audit ~rules g sol =
     in
     raise (Drc_failure msg)
 
-(* Fast-path solves never build a formulation; their sizes are all zero. *)
-let no_sizes = { Formulate.vars = 0; binaries = 0; rows = 0; nonzeros = 0 }
+(* Stats of a solve that ran no branch and bound: the fast path builds no
+   formulation, and Lagrangian mode reports its pricing under
+   [lagrangian] only. Callers fill in [elapsed_s], [seed_use] and
+   [lagrangian]. *)
+let no_search =
+  {
+    sizes = { Formulate.vars = 0; binaries = 0; rows = 0; nonzeros = 0 };
+    nodes = 0;
+    simplex_iterations = 0;
+    root_lp_iters = 0;
+    bound_flips = 0;
+    warm_start = `Cold;
+    root_basis = None;
+    elapsed_s = 0.0;
+    seed_use = Seed_unused;
+    solver_workers = 0;
+    solver_steals = 0;
+    solver_busy_s = 0.0;
+    solver_wall_s = 0.0;
+    lagrangian = None;
+  }
 
 (* Soundness of the zero-Δ fast path: [seed] must be an optimal routing
    under a rule configuration whose feasible set CONTAINS this one (in the
@@ -195,19 +214,9 @@ let route_lagrangian ~config ?seed ~rules (g : Graph.t) ~start =
   in
   let stats =
     {
-      sizes = no_sizes;
-      nodes = 0;
-      simplex_iterations = 0;
-      root_lp_iters = 0;
-      bound_flips = 0;
-      warm_start = `Cold;
-      root_basis = None;
+      no_search with
       elapsed_s = Unix.gettimeofday () -. start;
       seed_use;
-      solver_workers = r.Lagrangian.workers;
-      solver_steals = 0;
-      solver_busy_s = r.Lagrangian.busy_s;
-      solver_wall_s = r.Lagrangian.wall_s;
       lagrangian =
         Some
           {
@@ -242,20 +251,9 @@ let route_graph ?(config = default_config) ?seed ?warm_basis ~rules
           rules.Rules.name sol.Route.metrics.cost);
     let stats =
       {
-        sizes = no_sizes;
-        nodes = 0;
-        simplex_iterations = 0;
-        root_lp_iters = 0;
-        bound_flips = 0;
-        warm_start = `Cold;
-        root_basis = None;
+        no_search with
         elapsed_s = Unix.gettimeofday () -. start;
         seed_use = Seed_fast_path;
-        solver_workers = 0;
-        solver_steals = 0;
-        solver_busy_s = 0.0;
-        solver_wall_s = 0.0;
-        lagrangian = None;
       }
     in
     { verdict = Routed sol; stats }

@@ -76,11 +76,14 @@ type stats = {
   seed_use : seed_use;
   solver_workers : int;
       (** parallel width of the branch-and-bound search; 0 for fast-path
-          solves (no search ran at all) *)
+          and Lagrangian-mode solves (no search ran at all; pricing is
+          reported under [lagrangian]) *)
   solver_steals : int;  (** cross-worker frontier steals inside the solve *)
   solver_busy_s : float;
-      (** summed per-worker node-processing time of the solve *)
-  solver_wall_s : float;  (** wall clock of the MILP solve alone *)
+      (** summed per-worker node-processing time of the solve; 0 when no
+          search ran *)
+  solver_wall_s : float;
+      (** wall clock of the MILP solve alone; 0 when no search ran *)
   lagrangian : lagrangian_stats option;
       (** decomposition counters; [Some] iff [solve_mode = Lagrangian] *)
 }

@@ -274,9 +274,6 @@ let pin_shape t conn =
 
 let extent t = (t.width_cols, t.bands * t.tech.Tech.cell_height_tracks)
 
-let summary_row t =
-  (t.d_name, t.profile.period_ns, Array.length t.instances, t.achieved_util)
-
 let pp ppf t =
   Format.fprintf ppf "%s: %d instances, %d nets, %dx%d cols/bands, util %.1f%%"
     t.d_name (Array.length t.instances) (Array.length t.nets) t.width_cols

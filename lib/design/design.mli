@@ -61,7 +61,4 @@ val pin_shape : t -> conn -> Optrouter_geom.Rect.t
 (** Chip extent in tracks: (columns, M2 rows). *)
 val extent : t -> int * int
 
-(** One row of Table 2: name, period, instance count, utilisation. *)
-val summary_row : t -> string * float * int * float
-
 val pp : Format.formatter -> t -> unit

@@ -29,5 +29,4 @@ val fig10_findings : Sweep.entry list -> finding list
     barely move with utilisation, and are not design specific. *)
 val fig8_findings : Experiments.fig8_series list -> finding list
 
-val pp_finding : Format.formatter -> finding -> unit
 val pp_findings : Format.formatter -> finding list -> unit

@@ -294,8 +294,8 @@ let solve_outcome ?config ?seed ?warm_basis ~tech ~rules clip =
    slot while it runs (its own worker) and may widen its inner branch-and-
    bound by whatever extra slots are free at solve start. While the pool
    is saturated every slot is held and solves run single-worker — exactly
-   the serial-solver behaviour; at the sweep tail (and during the serial
-   baseline of [clip_deltas]) idle domains turn into solver workers for
+   the serial-solver behaviour; at the sweep tail (and while fewer
+   baselines than domains run) idle domains turn into solver workers for
    the hard solves that remain. Grants happen at solve start only: a
    running solve is never widened mid-flight. *)
 let budget_for pool =
@@ -419,28 +419,6 @@ let rule_entries ?config ?pool ?budget ?telemetry ?on_entry ~tech jobs =
      sum deterministically no matter how the pool schedules. *)
   List.iter (fun (_, outcome) -> record telemetry outcome) results;
   List.map fst results
-
-let clip_deltas ?config ?pool ?telemetry ?on_entry
-    ?(baseline = Rules.rule 1) ~tech ~rules clip =
-  timed telemetry (fun () ->
-      let budget = budget_for pool in
-      (* The baseline runs serially in the calling domain while every
-         pool worker idles — so it may claim the whole budget as inner
-         solver width. *)
-      let outcome =
-        with_budget budget
-          (Some (baseline_config config))
-          (fun config -> solve_outcome ?config ~tech ~rules:baseline clip)
-      in
-      record telemetry outcome;
-      match
-        baseline_of ~baseline_name:baseline.Rules.name clip.Clip.c_name
-          outcome
-      with
-      | None -> []
-      | Some (base, warm) ->
-        rule_entries ?config ?pool ?budget ?telemetry ?on_entry ~tech
-          (List.map (fun r -> (clip, base, warm, r)) rules))
 
 let sweep ?config ?pool ?telemetry ?on_entry ?(baseline = Rules.rule 1)
     ~tech ~rules clips =

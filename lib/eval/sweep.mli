@@ -3,9 +3,9 @@
     Each clip is routed optimally under RULE1 to establish the baseline
     cost, then under every requested rule configuration; the result is the
     Δcost profile the paper plots in Figure 10. Following the paper's
-    plotting convention, unroutable clips are reported with Δcost = 500
-    ({!infeasible_delta}); solver limits are folded into the same bucket
-    (and counted separately).
+    plotting convention, unroutable clips are plotted at Δcost = 500
+    ({!delta_value}); solver limits are folded into the same bucket (and
+    counted separately).
 
     Every (clip, rule) solve is independent, so the sweep optionally fans
     out over an {!Optrouter_exec.Pool}: pass [?pool] and the solves run on
@@ -36,9 +36,8 @@ type delta =
   | Infeasible
   | Limit  (** solver gave up (or the solve failed) before proving either way *)
 
-(** The paper's plotting constant for unroutable clips. *)
-val infeasible_delta : int
-
+(** The plotted Δcost: [d] for [Delta d], and the paper's plotting
+    constant 500 for unroutable clips and solver limits. *)
 val delta_value : delta -> float
 
 type entry = {
@@ -142,17 +141,17 @@ val render_telemetry : telemetry -> string
 val baseline_config :
   Optrouter_core.Optrouter.config option -> Optrouter_core.Optrouter.config
 
-(** [clip_deltas ?config ?pool ?telemetry ?on_entry ?baseline ~tech
-    ~rules clip] routes [clip] under [baseline] (default [Rules.rule 1])
-    and each configuration in [rules]. Clips that are unroutable even
-    under the baseline are dropped (returns []).
+(** [sweep ?config ?pool ?telemetry ?on_entry ?baseline ~tech ~rules
+    clips] routes each clip under [baseline] (default [Rules.rule 1])
+    and then under each configuration in [rules]. Clips that are
+    unroutable (or unproved) even under the baseline are dropped.
 
     For via-objective sweeps pass a baseline carrying the same objective
     as the rules ([Rules.with_objective obj (Rules.rule 1)]): the zero-Δ
     fast path re-checks the baseline routing under each rule, which is
     only a proof of Δ = 0 when both solves optimise the same objective.
 
-    The baseline routing seeds every rule solve
+    The baseline routing seeds every rule solve of its clip
     ({!Optrouter_core.Optrouter.route}'s [?seed]): rules whose DRC accepts
     the baseline are answered without any ILP (the paper's dominant
     zero-Δ case), the rest start branch and bound from a re-encoded
@@ -160,33 +159,18 @@ val baseline_config :
     disabled ([config] with [seed_reuse = false]) as long as no solver
     limit is hit; only the solve effort differs.
 
-    The baseline solve is serial (everything depends on it); the rule
-    solves fan out over [pool] when given. The pool's collector — always
-    the calling domain — emits one [info] event on the [sweep] source of
-    {!Optrouter_report.Report.Log} per completed (clip, rule) solve, in
-    completion order: the sweep's progress lines. It then invokes
-    [on_entry] on the entry, for callers that time or count entries.
-    [telemetry], when given, is updated in place (deterministically, in
-    task order) with every solve including the baseline. *)
-val clip_deltas :
-  ?config:Optrouter_core.Optrouter.config ->
-  ?pool:Optrouter_exec.Pool.t ->
-  ?telemetry:telemetry ref ->
-  ?on_entry:(entry -> unit) ->
-  ?baseline:Optrouter_tech.Rules.t ->
-  tech:Optrouter_tech.Tech.t ->
-  rules:Optrouter_tech.Rules.t list ->
-  Optrouter_grid.Clip.t ->
-  entry list
-
-(** [sweep ?config ?pool ?telemetry ?on_entry ?baseline ~tech ~rules
-    clips] is [List.concat_map (clip_deltas ...) clips] with better
-    parallel scaling: all baselines solve as one batch, then the whole
-    (clip x rule) cross product of the surviving clips as a second batch,
-    so the pool stays saturated even when each clip has few rules. Each
-    cross-product job carries its clip's baseline routing as the solver
-    seed, exactly as in {!clip_deltas}. The entry list is identical to
-    the serial per-clip path. *)
+    Solves run in two batches over [pool] when given: all baselines
+    (each with the tripled {!baseline_config} budget), then the whole
+    (clip x rule) cross product of the surviving clips, so the pool
+    stays saturated even when each clip has few rules. The entry list is
+    identical to the serial path and to sweeping the clips one at a
+    time. The pool's collector — always the calling domain — emits one
+    [info] event on the [sweep] source of {!Optrouter_report.Report.Log}
+    per completed (clip, rule) solve, in completion order: the sweep's
+    progress lines. It then invokes [on_entry] on the entry, for callers
+    that time or count entries. [telemetry], when given, is updated in
+    place (deterministically, in task order) with every solve including
+    the baselines. *)
 val sweep :
   ?config:Optrouter_core.Optrouter.config ->
   ?pool:Optrouter_exec.Pool.t ->

@@ -19,8 +19,6 @@ val height : t -> int
 val area : t -> int
 
 val center : t -> Point.t
-val x_interval : t -> Interval.t
-val y_interval : t -> Interval.t
 val contains_point : t -> Point.t -> bool
 
 (** [contains outer inner] is true when [inner] lies entirely in [outer]. *)

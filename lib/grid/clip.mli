@@ -49,8 +49,4 @@ val validate : t -> (unit, string) Result.t
 val num_nets : t -> int
 val num_pins : t -> int
 
-(** All access points of all pins of all nets, with net index. *)
-val access_points : t -> (int * int * int) list
-(** triples (net_index, col, row) *)
-
 val pp : Format.formatter -> t -> unit

@@ -78,10 +78,6 @@ let pp_vertex g ppf i =
     Format.fprintf ppf "%s[%s,net%d]" (if is_source then "src" else "snk")
       pin_name net
 
-let pp_stats ppf g =
-  Format.fprintf ppf "|V|=%d |E|=%d nets=%d via_reps=%d" g.nverts
-    (Array.length g.edges) (Array.length g.nets) (Array.length g.via_reps)
-
 let build ?(via_shapes = []) ?(single_vias = true) ?(bidirectional = false)
     ~tech ~rules (clip : Clip.t) =
   (match Clip.validate clip with

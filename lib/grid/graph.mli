@@ -110,4 +110,3 @@ val build :
   t
 
 val pp_vertex : t -> Format.formatter -> int -> unit
-val pp_stats : Format.formatter -> t -> unit

@@ -85,10 +85,9 @@ module Builder = struct
     mutable bvars : var list;
     mutable nv : int;
     mutable brows : row list;
-    mutable nr : int;
   }
 
-  let create () = { bvars = []; nv = 0; brows = []; nr = 0 }
+  let create () = { bvars = []; nv = 0; brows = [] }
 
   let add_var b ~name ~lower ~upper ~obj kind =
     if lower > upper then
@@ -126,11 +125,7 @@ module Builder = struct
 
   let add_row b ~name coeffs sense rhs =
     let coeffs = normalize_coeffs b.nv name coeffs in
-    b.brows <- { r_name = name; sense; rhs; coeffs } :: b.brows;
-    b.nr <- b.nr + 1
-
-  let var_count b = b.nv
-  let row_count b = b.nr
+    b.brows <- { r_name = name; sense; rhs; coeffs } :: b.brows
 
   let finish b =
     {

@@ -75,9 +75,6 @@ module Builder : sig
       Raises [Invalid_argument] on an out-of-range variable index. *)
   val add_row : t -> name:string -> (int * float) list -> sense -> float -> unit
 
-  val var_count : t -> int
-  val row_count : t -> int
-
   (** Freeze the builder. The builder may keep being extended afterwards;
       the frozen problem is unaffected. *)
   val finish : t -> problem

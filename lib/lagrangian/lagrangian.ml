@@ -51,7 +51,6 @@ type t = {
   rounding_attempts : int;
   rip_ups : int;
   seeded : bool;
-  workers : int;
   trace : iter_stat list;
 }
 
@@ -290,7 +289,6 @@ let empty_result ~unreachable ~wall_s =
     rounding_attempts = 0;
     rip_ups = 0;
     seeded = false;
-    workers = 1;
     trace = [];
   }
 
@@ -557,7 +555,6 @@ let solve ?(params = default_params) ?seed ~rules (g : Graph.t) =
       rounding_attempts = !attempts;
       rip_ups = !rip_ups;
       seeded;
-      workers = Pool.domains pool;
       trace = List.rev !trace;
     }
   end

@@ -121,7 +121,6 @@ type t = {
   seeded : bool;
       (** the [?seed] passed [Drc.check] under the rules and entered as
           the initial incumbent ([false] without a seed) *)
-  workers : int;  (** pricing pool width actually used *)
   trace : iter_stat list;  (** per-iteration telemetry, oldest first *)
 }
 

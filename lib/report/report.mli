@@ -95,8 +95,6 @@ module Log : sig
       initial setting is the one [OPTROUTER_LOG] names, else [None]. *)
   val set_level : level option -> unit
 
-  val enabled : level -> bool
-
   (** Replace ([Some]) or restore ([None]) the stderr sink. *)
   val set_sink : (level -> src:string -> string -> unit) option -> unit
 

@@ -52,6 +52,3 @@ val stats : t -> stats
 
 (** Number of entries currently in the memory tier. *)
 val mem_size : t -> int
-
-(** The versioned first line of every disk entry. *)
-val disk_header : string

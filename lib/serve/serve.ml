@@ -169,7 +169,6 @@ let create params =
 
 let destroy t = Option.iter Pool.shutdown t.pool
 let cache t = t.cache
-let requests_served t = t.served
 
 let config_for t req ~width =
   let c = t.params.config in

@@ -123,7 +123,6 @@ val create : params -> t
 val destroy : t -> unit
 
 val cache : t -> Cache.t
-val requests_served : t -> int
 
 (** [handle t req] answers one request: cache lookup (unless
     [req.no_cache]), else a budgeted solve; proven results are stored.

@@ -24,6 +24,5 @@ type t = {
 val direction_of_metal : int -> direction
 
 val is_horizontal : t -> bool
-val pp_direction : Format.formatter -> direction -> unit
 val pp_patterning : Format.formatter -> patterning -> unit
 val pp : Format.formatter -> t -> unit

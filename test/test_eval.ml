@@ -34,8 +34,8 @@ let test_sweep_deltas () =
       [ two_pin "a" (0, 0) (1, 0); two_pin "b" (2, 0) (3, 0) ]
   in
   let entries =
-    Sweep.clip_deltas ~config:fast_config ~tech:Tech.n28_12t
-      ~rules:[ Rules.rule 4 ] clip
+    Sweep.sweep ~config:fast_config ~tech:Tech.n28_12t
+      ~rules:[ Rules.rule 4 ] [ clip ]
   in
   match entries with
   | [ e ] ->
@@ -50,8 +50,8 @@ let test_sweep_unroutable_entry () =
     Clip.make ~cols:3 ~rows:2 ~layers:2 [ two_pin "a" (0, 0) (0, 1) ]
   in
   let entries =
-    Sweep.clip_deltas ~config:fast_config ~tech:Tech.n28_12t
-      ~rules:[ Rules.rule 6 ] clip
+    Sweep.sweep ~config:fast_config ~tech:Tech.n28_12t
+      ~rules:[ Rules.rule 6 ] [ clip ]
   in
   match entries with
   | [ e ] ->
@@ -119,11 +119,11 @@ let test_seed_reuse_knob_disables_fast_path () =
   | Optrouter.Unroutable | Optrouter.Limit _ | Optrouter.Near_optimal _ ->
     Alcotest.fail "baseline solve failed"
 
-let test_clip_deltas_fast_path_telemetry () =
+let test_sweep_fast_path_telemetry () =
   let telemetry = ref Sweep.empty_telemetry in
   let entries =
-    Sweep.clip_deltas ~config:fast_config ~telemetry ~tech:Tech.n28_12t
-      ~rules:[ Rules.rule 4 ] eol_clip
+    Sweep.sweep ~config:fast_config ~telemetry ~tech:Tech.n28_12t
+      ~rules:[ Rules.rule 4 ] [ eol_clip ]
   in
   let t = !telemetry in
   Alcotest.(check int) "one entry" 1 (List.length entries);
@@ -151,8 +151,8 @@ let test_baseline_config_default_budget () =
 let test_telemetry_busy_vs_wall () =
   let telemetry = ref Sweep.empty_telemetry in
   let _ =
-    Sweep.clip_deltas ~config:fast_config ~telemetry ~tech:Tech.n28_12t
-      ~rules:[ Rules.rule 4; Rules.rule 6 ] eol_clip
+    Sweep.sweep ~config:fast_config ~telemetry ~tech:Tech.n28_12t
+      ~rules:[ Rules.rule 4; Rules.rule 6 ] [ eol_clip ]
   in
   let t = !telemetry in
   Alcotest.(check bool) "busy time counted" true (t.Sweep.busy_s > 0.0);
@@ -289,8 +289,8 @@ let test_sweep_drops_unroutable_baseline () =
   (* Unroutable even under RULE1: the clip must be dropped entirely. *)
   let clip = Clip.make ~cols:3 ~rows:2 ~layers:1 [ two_pin "a" (0, 0) (2, 1) ] in
   let entries =
-    Sweep.clip_deltas ~config:fast_config ~tech:Tech.n28_12t
-      ~rules:[ Rules.rule 4 ] clip
+    Sweep.sweep ~config:fast_config ~tech:Tech.n28_12t
+      ~rules:[ Rules.rule 4 ] [ clip ]
   in
   Alcotest.(check int) "dropped" 0 (List.length entries)
 
@@ -662,7 +662,7 @@ let () =
           Alcotest.test_case "seed_reuse=false ignores seeds" `Quick
             test_seed_reuse_knob_disables_fast_path;
           Alcotest.test_case "fast-path telemetry" `Quick
-            test_clip_deltas_fast_path_telemetry;
+            test_sweep_fast_path_telemetry;
           Alcotest.test_case "baseline config default budget" `Quick
             test_baseline_config_default_budget;
           Alcotest.test_case "busy vs wall telemetry" `Quick

@@ -251,11 +251,12 @@ let entry_t =
   in
   Alcotest.testable pp ( = )
 
+(* The reference: each clip swept on its own, serially. *)
 let serial_entries () =
   List.concat_map
     (fun clip ->
-      Sweep.clip_deltas ~config:fast_config ~tech:Tech.n28_12t
-        ~rules:sweep_rules clip)
+      Sweep.sweep ~config:fast_config ~tech:Tech.n28_12t ~rules:sweep_rules
+        [ clip ])
     seed_clips
 
 let test_parallel_sweep_deterministic () =
@@ -273,21 +274,6 @@ let test_parallel_sweep_deterministic () =
             serial parallel))
     [ 2; 4 ]
 
-let test_parallel_clip_deltas_deterministic () =
-  Pool.with_pool ~domains:2 (fun pool ->
-      List.iter
-        (fun clip ->
-          let serial =
-            Sweep.clip_deltas ~config:fast_config ~tech:Tech.n28_12t
-              ~rules:sweep_rules clip
-          in
-          let parallel =
-            Sweep.clip_deltas ~config:fast_config ~pool ~tech:Tech.n28_12t
-              ~rules:sweep_rules clip
-          in
-          Alcotest.(check (list entry_t)) clip.Clip.c_name serial parallel)
-        seed_clips)
-
 let test_sweep_solver_jobs_identity () =
   (* Two-level scheduling must not change entries: a sweep whose solves
      request 2-wide branch and bound — serial, and under a pool where
@@ -296,8 +282,8 @@ let test_sweep_solver_jobs_identity () =
   let wide_serial =
     List.concat_map
       (fun clip ->
-        Sweep.clip_deltas ~config:wide_config ~tech:Tech.n28_12t
-          ~rules:sweep_rules clip)
+        Sweep.sweep ~config:wide_config ~tech:Tech.n28_12t ~rules:sweep_rules
+          [ clip ])
       seed_clips
   in
   Alcotest.(check (list entry_t)) "2-wide solves, no pool" serial wide_serial;
@@ -453,8 +439,8 @@ let qcheck_reuse_identity =
     (fun spec ->
       let clip = random_clip spec in
       let run config pool =
-        Sweep.clip_deltas ~config ?pool ~tech:Tech.n28_12t ~rules:sweep_rules
-          clip
+        Sweep.sweep ~config ?pool ~tech:Tech.n28_12t ~rules:sweep_rules
+          [ clip ]
       in
       let reference = run fast_config None in
       let off = run no_reuse_config None in
@@ -495,8 +481,6 @@ let () =
         [
           Alcotest.test_case "sweep matches serial" `Quick
             test_parallel_sweep_deterministic;
-          Alcotest.test_case "clip_deltas matches serial" `Quick
-            test_parallel_clip_deltas_deterministic;
           Alcotest.test_case "solver-jobs sweep matches serial" `Quick
             test_sweep_solver_jobs_identity;
           Alcotest.test_case "telemetry and on_entry" `Quick

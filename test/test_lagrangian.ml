@@ -338,6 +338,35 @@ let test_near_optimal_verdict () =
   | Optrouter.Routed _ | Optrouter.Unroutable | Optrouter.Limit _ ->
     Alcotest.fail "lagrangian mode must answer Near_optimal here"
 
+(* No branch and bound runs in this mode, so the B&B fields stay zero
+   even on a 2-wide solve; the pricing pool's width and times are
+   reported once, under [lagrangian]. *)
+let test_pricing_reported_once () =
+  let config =
+    Optrouter.make_config ~solve_mode:Optrouter.Lagrangian
+      ~milp:(Optrouter_ilp.Milp.make_params ~solver_jobs:2 ())
+      ()
+  in
+  let clip =
+    List.find (fun c -> c.Clip.c_name = "eol-conflict") (bundled_clips ())
+  in
+  let stats =
+    (Optrouter.route ~config ~tech ~rules:(rule 1) clip).Optrouter.stats
+  in
+  Alcotest.(check int) "no B&B workers" 0 stats.Optrouter.solver_workers;
+  Alcotest.(check (float 0.0)) "no B&B busy time" 0.0
+    stats.Optrouter.solver_busy_s;
+  Alcotest.(check (float 0.0)) "no B&B wall time" 0.0
+    stats.Optrouter.solver_wall_s;
+  match stats.Optrouter.lagrangian with
+  | None -> Alcotest.fail "lagrangian stats missing"
+  | Some ls ->
+    Alcotest.(check bool) "iterations ran" true (ls.Optrouter.lag_iterations >= 1);
+    Alcotest.(check bool) "pricing busy time reported" true
+      (ls.Optrouter.lag_busy_s > 0.0);
+    Alcotest.(check bool) "pricing wall time reported" true
+      (ls.Optrouter.lag_wall_s > 0.0)
+
 let test_unroutable_detected () =
   (* A pin fenced in by obstructions on M1 with a single layer cannot
      reach its mate: the reachability pre-check must prove it. *)
@@ -515,6 +544,8 @@ let () =
         [
           Alcotest.test_case "near-optimal verdict + stats" `Quick
             test_near_optimal_verdict;
+          Alcotest.test_case "pricing reported once, under lagrangian" `Quick
+            test_pricing_reported_once;
           Alcotest.test_case "reachability proves unroutable" `Quick
             test_unroutable_detected;
           Alcotest.test_case "seed use reported" `Quick test_seed_use_reported;
