@@ -501,12 +501,15 @@ let section_ablation () =
    the time limit). RULE1 and the first few applicable rules are each
    prepared once (Simplex.Instance.create, timed separately) and
    root-solved cold and, for RULEk, warm-started from the RULE1 optimal
-   basis remapped by name. The section exits 1 when its record breaks an
-   invariant: a finished warm root reaches the cold status; two optimal
-   roots prove the same objective; every optimal root passes the
-   independent certificate check; a verified warm root that kept its
-   basis needs no more iterations than the verified cold one; every root
-   that pivots records a positive ms per iteration. *)
+   basis remapped by name. A mode that hits the root budget is recorded
+   as a [limit] entry, so the record holds the same entries on any host,
+   and takes part in no comparison. The section exits 1 when its record
+   breaks an invariant: a finished warm root reaches the cold status; two
+   optimal roots prove the same objective; every optimal root passes the
+   independent certificate check; every finished warm root keeps its
+   basis ([reused] or [repaired]), and then needs no more iterations than
+   the verified cold one when both verify; every root that pivots
+   records a positive ms per iteration. *)
 let section_solver () =
   banner "solver: root-LP warm starts";
   let time_limit = env_float "OPTROUTER_BENCH_TIME" 15.0 in
@@ -529,6 +532,7 @@ let section_solver () =
     | `Cold -> "cold"
     | `Reused -> "reused"
     | `Repaired -> "repaired"
+    | `Abandoned -> "abandoned"
   in
   let root_lp_study tech clip =
     let wall f =
@@ -555,13 +559,13 @@ let section_solver () =
           r.Simplex.status = Simplex.Optimal
           && Simplex.verify_optimal lp r = Ok ()
         in
-        Some (name, r, w, verified)
+        (name, Some (r, w, verified))
       | exception Simplex.Numerical_failure _ ->
         (* deadline or iteration budget exhausted: a legitimate study
            outcome for the slow mode, not a bench failure *)
         Printf.printf "root-LP budget hit: %s %s %s (%.1f s)\n"
           tech.Tech.name clip.Clip.c_name name root_budget;
-        None
+        (name, None)
     in
     let study_rules =
       Rules.rule 1
@@ -587,11 +591,12 @@ let section_solver () =
             | None -> None
             | Some assoc ->
               let basis, _fixup = Simplex.Basis.of_assoc lp assoc in
-              run_mode inst lp "devex+warm" (Simplex.make_params ~basis ())
+              Some
+                (run_mode inst lp "devex+warm" (Simplex.make_params ~basis ()))
           in
           (match (r.Rules.name, devex_cold) with
-          | "RULE1", Some (_, res, _, _) when res.Simplex.status = Simplex.Optimal
-            ->
+          | "RULE1", (_, Some (res, _, _))
+            when res.Simplex.status = Simplex.Optimal ->
             rule1_assoc := Some (Simplex.Basis.to_assoc lp res.Simplex.basis)
           | "RULE1", _ ->
             no_basis := true;
@@ -600,23 +605,52 @@ let section_solver () =
                skipping RULEk warm-start entries\n"
               tech.Tech.name clip.Clip.c_name
           | _ -> ());
-          (* A warm start that kept its basis must pay for itself. *)
-          (match (devex_cold, devex_warm) with
-          | Some (_, cold, _, true), Some (_, warm, _, true)
-            when warm.Simplex.warm <> `Cold ->
+          (* A finished warm root keeps its basis, and then must pay for
+             itself. *)
+          (match devex_warm with
+          | Some (_, Some (warm, _, _)) ->
             check mismatches
-              (warm.Simplex.iterations <= cold.Simplex.iterations)
-              "ROOT-LP WARM SLOWER: %s %s devex+warm took %d iterations, \
-               devex %d"
-              clip.Clip.c_name r.Rules.name warm.Simplex.iterations
-              cold.Simplex.iterations
+              (match warm.Simplex.warm with
+              | `Reused | `Repaired -> true
+              | `Cold | `Abandoned -> false)
+              "ROOT-LP WARM ABANDONED: %s %s devex+warm is %s after %d \
+               iterations"
+              clip.Clip.c_name r.Rules.name
+              (warm_name warm.Simplex.warm)
+              warm.Simplex.iterations
+          | Some (_, None) | None -> ());
+          (match (devex_cold, devex_warm) with
+          | (_, Some (cold, _, true)), Some (_, Some (warm, _, true)) -> (
+            match warm.Simplex.warm with
+            | `Reused | `Repaired ->
+              check mismatches
+                (warm.Simplex.iterations <= cold.Simplex.iterations)
+                "ROOT-LP WARM SLOWER: %s %s devex+warm took %d iterations, \
+                 devex %d"
+                clip.Clip.c_name r.Rules.name warm.Simplex.iterations
+                cold.Simplex.iterations
+            | `Cold | `Abandoned -> ())
           | _ -> ());
           (* The cold root is the reference the warm one must reproduce:
              the same status and, between two Optimal roots, the same
              objective. Non-Optimal objectives are phase-1 values and are
              never compared. *)
           let reference =
-            Option.map (fun (_, (res : Simplex.result), _, _) -> res) devex_cold
+            Option.map (fun ((res : Simplex.result), _, _) -> res) (snd devex_cold)
+          in
+          let limit_json name =
+            root_rows :=
+              [
+                tech.Tech.name; r.Rules.name; name; "limit"; "-"; "-"; "-";
+                Printf.sprintf "%.3f" (root_budget *. 1e3); "-"; "-"; "-";
+              ]
+              :: !root_rows;
+            ( name,
+              Report.Json.Obj
+                [
+                  ("status", Report.Json.String "limit");
+                  ("wall_s", Report.Json.Float root_budget);
+                ] )
           in
           let mode_json ~reference (name, (res : Simplex.result), w, verified) =
             let status = status_name res.Simplex.status in
@@ -694,10 +728,14 @@ let section_solver () =
                 @ Option.fold identical ~none:[] ~some:(fun same ->
                       [ ("objective_identical", Report.Json.Bool same) ])) )
           in
+          let field ~reference = function
+            | name, None -> limit_json name
+            | name, Some (res, w, verified) ->
+              mode_json ~reference (name, res, w, verified)
+          in
+          let cold_field = field ~reference:None devex_cold in
           let mode_fields =
-            List.filter_map
-              (fun (mode, reference) -> Option.map (mode_json ~reference) mode)
-              [ (devex_cold, None); (devex_warm, reference) ]
+            cold_field :: Option.to_list (Option.map (field ~reference) devex_warm)
           in
           Some
             (Report.Json.Obj

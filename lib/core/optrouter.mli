@@ -66,8 +66,10 @@ type stats = {
   bound_flips : int;  (** bound-flip ratio-test steps of the root solve *)
   warm_start : Optrouter_ilp.Simplex.warm;
       (** whether the [?warm_basis] was reused by the root solve:
-          [`Cold] (none given, or abandoned), [`Reused] (applied as-is)
-          or [`Repaired] (name remap or factorisation had to patch it) *)
+          [`Cold] (none given), [`Reused] (applied as-is), [`Repaired]
+          (name remap or factorisation had to patch it) or [`Abandoned]
+          (given, but the root solve restarted from the all-slack basis;
+          see {!Optrouter_ilp.Simplex.warm}) *)
   root_basis : (string * Optrouter_ilp.Simplex.vstat) list option;
       (** name-keyed optimal basis of the root relaxation, for reuse as
           [?warm_basis] on a related solve; [None] when the root LP did

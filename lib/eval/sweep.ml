@@ -35,6 +35,7 @@ type telemetry = {
   bound_flips : int;
   warm_reused : int;
   warm_repaired : int;
+  warm_abandoned : int;
   busy_s : float;
   wall_s : float;
   limits : int;
@@ -63,6 +64,7 @@ let empty_telemetry =
     bound_flips = 0;
     warm_reused = 0;
     warm_repaired = 0;
+    warm_abandoned = 0;
     busy_s = 0.0;
     wall_s = 0.0;
     limits = 0;
@@ -91,6 +93,7 @@ let merge_telemetry a b =
     bound_flips = a.bound_flips + b.bound_flips;
     warm_reused = a.warm_reused + b.warm_reused;
     warm_repaired = a.warm_repaired + b.warm_repaired;
+    warm_abandoned = a.warm_abandoned + b.warm_abandoned;
     busy_s = a.busy_s +. b.busy_s;
     (* Wall fields are spans, not work: shards merged here ran
        concurrently (or the caller wants an elapsed bound, not a total),
@@ -127,11 +130,12 @@ let add_result t (result : Optrouter.result) =
     | Optrouter.Seed_incumbent -> (0, 1)
     | Optrouter.Seed_unused | Optrouter.Seed_rejected -> (0, 0)
   in
-  let reused, repaired =
+  let reused, repaired, abandoned =
     match s.Optrouter.warm_start with
-    | `Reused -> (1, 0)
-    | `Repaired -> (0, 1)
-    | `Cold -> (0, 0)
+    | `Reused -> (1, 0, 0)
+    | `Repaired -> (0, 1, 0)
+    | `Abandoned -> (0, 0, 1)
+    | `Cold -> (0, 0, 0)
   in
   {
     t with
@@ -144,6 +148,7 @@ let add_result t (result : Optrouter.result) =
     bound_flips = t.bound_flips + s.Optrouter.bound_flips;
     warm_reused = t.warm_reused + reused;
     warm_repaired = t.warm_repaired + repaired;
+    warm_abandoned = t.warm_abandoned + abandoned;
     busy_s = t.busy_s +. s.Optrouter.elapsed_s;
     limits = t.limits + limit;
     infeasible = t.infeasible + infeasible;
@@ -201,12 +206,18 @@ let render_telemetry t =
     (if t.failures > 0 then Printf.sprintf ", %d failed" t.failures else "");
   (* Root-LP line only when the solver actually reported root activity:
      historical three-line output is preserved for fast-path-only runs. *)
-  if t.root_lp_iters > 0 || t.warm_reused > 0 || t.warm_repaired > 0 then
+  if
+    t.root_lp_iters > 0 || t.warm_reused > 0 || t.warm_repaired > 0
+    || t.warm_abandoned > 0
+  then
     Printf.bprintf b
       "                  root LP: %d iterations, %d bound flip%s, warm basis \
-       %d reused / %d repaired\n"
+       %d reused / %d repaired%s\n"
       t.root_lp_iters t.bound_flips (plural t.bound_flips) t.warm_reused
-      t.warm_repaired;
+      t.warm_repaired
+      (if t.warm_abandoned > 0 then
+         Printf.sprintf " / %d abandoned" t.warm_abandoned
+       else "");
   (* Only solves that actually ran a parallel search earn the extra line;
      a purely serial sweep keeps its historical three-line form. *)
   if t.peak_workers > 1 || t.steals > 0 then begin

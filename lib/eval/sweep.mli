@@ -74,6 +74,9 @@ type telemetry = {
   warm_repaired : int;
       (** rule solves whose remapped basis needed structural or
           factorisation repair before reuse *)
+  warm_abandoned : int;
+      (** rule solves given the baseline's remapped basis whose root LP
+          threw it away and restarted from the all-slack basis *)
   busy_s : float;  (** summed per-solve wall time (aggregate solver work) *)
   wall_s : float;  (** true elapsed wall clock of the sweep *)
   limits : int;  (** solves that hit the node/time limit *)
@@ -124,7 +127,8 @@ val merge_telemetry : telemetry -> telemetry -> telemetry
     fast-path hits and seeded incumbents of the baseline-reuse layer;
     limits, infeasible solves and failures. Optional lines follow only
     when they carry something: root-LP iterations, bound flips and warm
-    bases reused / repaired (any root activity); solver parallelism with
+    bases reused / repaired, plus abandoned when any was (any root
+    activity); solver parallelism with
     nodes per busy second and efficiency
     [solver_busy_s / (solver_wall_s * peak_workers)] (any solve wider
     than one worker, or any steal); Lagrangian solves, iterations,

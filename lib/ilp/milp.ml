@@ -397,6 +397,7 @@ let solve_lp sh inst warm lo up =
        start is slower but always well-posed. If even that fails, the
        node cannot be resolved safely: the search degrades to a limit. *)
     match attempt None with
+    | r when Option.is_some warm -> Some { r with Simplex.warm = `Abandoned }
     | r -> Some r
     | exception Simplex.Numerical_failure _ -> None)
 

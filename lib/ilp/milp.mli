@@ -40,7 +40,9 @@ type result = {
           the search stopped before the root LP finished *)
   root_bound_flips : int;  (** bound-flip steps of the root solve *)
   root_warm : Simplex.warm;
-      (** how the root solve used the [?root_basis] warm start *)
+      (** how the root solve used the [?root_basis] warm start; a basis
+          the solve raised on, so that the root was re-solved cold, counts
+          as [`Abandoned] *)
   root_basis : Simplex.basis option;
       (** optimal basis of the root relaxation, for reuse as a
           [?root_basis] on related LPs (remapped via {!Simplex.Basis});

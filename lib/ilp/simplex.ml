@@ -4,7 +4,7 @@ type vstat = Basic | At_lower | At_upper | Nb_free
 type basis = { vstat : vstat array; basic : int array }
 type status = Optimal | Infeasible | Unbounded
 
-type warm = [ `Cold | `Reused | `Repaired ]
+type warm = [ `Cold | `Reused | `Repaired | `Abandoned ]
 
 type result = {
   status : status;
@@ -15,13 +15,14 @@ type result = {
   basis : basis;
   iterations : int;
   bound_flips : int;
-      (** ratio-test steps resolved by flipping the entering variable to
-          its opposite bound — no basis change, no eta, no fresh BTRAN *)
+      (** nonbasic columns moved to their opposite bound without a basis
+          change: primal ratio-test steps limited by the entering
+          variable's own range, and the columns a dual long step passes *)
   warm : warm;
-      (** how the starting basis was used: [`Cold] (none supplied, or the
-          supplied one was abandoned), [`Reused] (factorised as given) or
-          [`Repaired] (factorised after substituting slacks for singular
-          columns) *)
+      (** how the starting basis was used: [`Cold] (none supplied),
+          [`Reused] (factorised as given), [`Repaired] (factorised after
+          substituting slacks for singular columns) or [`Abandoned]
+          (thrown away for a restart from the all-slack basis) *)
   btran_saved : int;
       (** full BTRAN passes avoided by the incremental dual update in
           [dual_reoptimize] *)
@@ -469,12 +470,22 @@ module Instance = struct
 
   let eta_nnz st = st.eta_nnz_count
 
+  (* The deterministic per-column epsilon of both cost perturbations, in
+     [1e-7, 1.1e-6): the primal scales it after a degenerate stall, the
+     dual signs and scales it on entry. *)
+  let base_perturb j =
+    let h = (j + 1) * 2654435761 land 0xFFFF in
+    1e-7 +. (1e-6 *. float_of_int h /. 65536.0)
+
   (* Throw a basis away and restart from the all-slack basis; the composite
      phase 1 then restores feasibility. Used when a warm-start basis
-     factorises with catastrophic fill-in — iterating on a dense eta file
-     costs more than re-solving. *)
+     factorises with catastrophic fill-in (iterating on a dense eta file
+     costs more than re-solving) and when the dual re-optimisation gives
+     up; the dual's cost perturbation is withdrawn here. *)
   let cold_reset st =
     let n = st.inst.n and m = st.inst.m in
+    st.perturbed <- false;
+    Array.iteri (fun j _ -> st.perturb.(j) <- base_perturb j) st.perturb;
     st.neta <- 0;
     st.eta_nnz_count <- 0;
     st.nnz_at_refactor <- 0;
@@ -817,13 +828,71 @@ module Instance = struct
   let value_of st j =
     if st.vpos.(j) >= 0 then st.xb.(st.vpos.(j)) else nb_value st j
 
-  (* Bounded-variable dual simplex, used to re-optimise after a branch-and-
-     bound bound change: the warm basis is still dual feasible but primal
-     infeasible in a few basic variables, which the dual method repairs in
-     a handful of pivots where the composite primal phase 1 takes
-     thousands. Purely an accelerator: it returns [false] whenever the
-     preconditions fail or it stalls, and the caller falls through to the
-     always-correct primal loop. *)
+  type dual_outcome = Reoptimised | Certified_infeasible | Gave_up
+
+  (* Certify a dual ray: the leaving variable [jl] cannot reach the bound
+     it violates ([below]: its lower bound) at any point of the box. From a
+     fresh factorisation, rho = B^-T e_r with its round-off entries zeroed
+     (any multiplier vector is a valid Farkas candidate) gives
+     x_B(r) = rho.b - sum_j alpha_j x_j over the nonbasic columns, with
+     alpha_j = rho.a_j; the claim stands only when the extreme of that sum
+     over every nonbasic column's box, including the columns the ratio test
+     skips as too small to pivot on, misses the bound by more than 1e-6. *)
+  let certify_ray st jl ~below =
+    refactor st;
+    let r = st.vpos.(jl) in
+    r >= 0
+    && begin
+         let m = st.inst.m in
+         let rho = Array.make m 0.0 in
+         rho.(r) <- 1.0;
+         btran st rho;
+         let big = Array.fold_left (fun a v -> Float.max a (Float.abs v)) 0.0 rho in
+         let base = ref 0.0 in
+         for i = 0 to m - 1 do
+           if Float.abs rho.(i) <= 1e-9 *. big then rho.(i) <- 0.0
+           else base := !base +. (rho.(i) *. st.inst.rhs.(i))
+         done;
+         (* [lo_sum, hi_sum] bounds sum_j alpha_j x_j; neither sum can
+            meet an infinity of the opposite sign, so no NaN arises *)
+         let lo_sum = ref 0.0 and hi_sum = ref 0.0 in
+         for j = 0 to st.inst.ncols - 1 do
+           if st.vstat.(j) <> Basic then begin
+             let idx = st.inst.cidx.(j) and vl = st.inst.cval.(j) in
+             let alpha = ref 0.0 in
+             for p = 0 to Array.length idx - 1 do
+               alpha := !alpha +. (vl.(p) *. rho.(idx.(p)))
+             done;
+             let alpha = !alpha in
+             if alpha <> 0.0 then begin
+               let a = alpha *. st.lo.(j) and b = alpha *. st.up.(j) in
+               lo_sum := !lo_sum +. Float.min a b;
+               hi_sum := !hi_sum +. Float.max a b
+             end
+           end
+         done;
+         if below then !base -. !lo_sum < st.lo.(jl) -. 1e-6
+         else !base -. !hi_sum > st.up.(jl) +. 1e-6
+       end
+
+  (* Bounded-variable dual simplex, used to re-optimise a warm basis
+     (cross-rule roots, branch-and-bound children): the basis is dual
+     feasible but primal infeasible in a few basic variables, which the
+     dual method repairs in a handful of pivots where the composite primal
+     phase 1 takes thousands. On entry each nonbasic column's cost is
+     shifted by [base_perturb j * (1 + |c_j|)] in its dual-feasible
+     direction, which breaks the dual degeneracy of routing LPs; the primal
+     loop withdraws the shift before any optimality claim. The ratio test
+     is the long-step (bound-flipping) one: breakpoints t_j = |d_j|/|alpha_j|
+     are passed in ascending tie groups while the leaving row's remaining
+     infeasibility pays for flipping every boxed column of the group, and
+     the largest-|alpha| column of the group where it stops enters; the
+     passed flips are applied with one FTRAN before the basis change. A row
+     with no candidate, or whose every candidate flips without reaching the
+     bound, is a dual ray: [Certified_infeasible] once [certify_ray]
+     confirms it. Anything else that stops the method (a basis that is not
+     dual feasible, a refused ray, a vanishing pivot, the pivot cap)
+     returns [Gave_up], and the caller restarts cold. *)
   let dual_reoptimize st ~max_pivots =
     let m = st.inst.m and ncols = st.inst.ncols in
     (* One BTRAN computes the duals here; every subsequent pivot updates
@@ -847,96 +916,165 @@ module Instance = struct
         true
       with Exit -> false
     in
-    if not (dual_feasible ()) then false
+    if not (dual_feasible ()) then Gave_up
     else begin
-      let rho = Array.make m 0.0 in
-      let ok = ref true and finished = ref false in
-      let pivots = ref 0 in
-      while !ok && (not !finished) && !pivots < max_pivots do
-        incr pivots;
-        st.niter <- st.niter + 1;
-        (* leaving variable: the most violated basic *)
-        let r = ref (-1) and viol = ref feas_tol and below = ref false in
-        for pos = 0 to m - 1 do
-          let j = st.basic.(pos) in
-          let x = st.xb.(pos) in
-          if st.lo.(j) -. x > !viol then begin
-            r := pos;
-            viol := st.lo.(j) -. x;
-            below := true
-          end
-          else if x -. st.up.(j) > !viol then begin
-            r := pos;
-            viol := x -. st.up.(j);
-            below := false
-          end
-        done;
-        if !r < 0 then finished := true
+      (* Basic costs stay unshifted, so the duals just computed stand. *)
+      for j = 0 to ncols - 1 do
+        let e = base_perturb j *. (1.0 +. Float.abs st.inst.cost.(j)) in
+        st.perturb.(j) <-
+          (if st.up.(j) -. st.lo.(j) <= zero_tol then 0.0
+           else
+             match st.vstat.(j) with
+             | At_lower -> e
+             | At_upper -> -.e
+             | Basic | Nb_free -> 0.0)
+      done;
+      st.perturbed <- true;
+      let rho = Array.make m 0.0 and v = Array.make m 0.0 in
+      (* ratio-test candidates: column, breakpoint, alpha, reduced cost *)
+      let cj = Array.make ncols 0 and ct = Array.make ncols 0.0 in
+      let ca = Array.make ncols 0.0 and cd = Array.make ncols 0.0 in
+      let flips = Array.make ncols 0 in
+      let outcome = ref None and pivots = ref 0 in
+      while Option.is_none !outcome do
+        if !pivots >= max_pivots then outcome := Some Gave_up
         else begin
-          let r = !r in
-          Array.fill rho 0 m 0.0;
-          rho.(r) <- 1.0;
-          btran st rho;
-          (* st.y is already current (incremental update below), saving
-             the from-scratch BTRAN the pivot loop used to do here *)
-          st.btran_saved <- st.btran_saved + 1;
-          (* dual ratio test: smallest |d|/|alpha| among columns whose
-             admissible movement pushes the leaving value back in range *)
-          let best_j = ref (-1) and best_ratio = ref infinity in
-          let best_alpha = ref 0.0 and best_d = ref 0.0 in
-          for j = 0 to ncols - 1 do
-            if st.vstat.(j) <> Basic && st.up.(j) -. st.lo.(j) > zero_tol then begin
-              let idx = st.inst.cidx.(j) and vl = st.inst.cval.(j) in
-              let alpha = ref 0.0 in
-              for p = 0 to Array.length idx - 1 do
-                alpha := !alpha +. (vl.(p) *. rho.(idx.(p)))
-              done;
-              let alpha = !alpha in
-              if Float.abs alpha > pivot_tol then begin
-                let eligible =
-                  (* x_B(r) changes by -alpha * dx_j *)
-                  match st.vstat.(j) with
-                  | At_lower -> if !below then alpha < 0.0 else alpha > 0.0
-                  | At_upper -> if !below then alpha > 0.0 else alpha < 0.0
-                  | Nb_free -> true
-                  | Basic -> false
-                in
-                if eligible then begin
-                  let d = reduced_cost st ~phase1:false j in
-                  let ratio = Float.abs d /. Float.abs alpha in
-                  if
-                    ratio < !best_ratio -. 1e-12
-                    || (ratio < !best_ratio +. 1e-12
-                       && Float.abs alpha > Float.abs !best_alpha)
-                  then begin
-                    best_j := j;
-                    best_ratio := ratio;
-                    best_alpha := alpha;
-                    best_d := d
+          incr pivots;
+          st.niter <- st.niter + 1;
+          (* leaving variable: the most violated basic *)
+          let r = ref (-1) and viol = ref feas_tol and below = ref false in
+          for pos = 0 to m - 1 do
+            let j = st.basic.(pos) in
+            let x = st.xb.(pos) in
+            if st.lo.(j) -. x > !viol then begin
+              r := pos;
+              viol := st.lo.(j) -. x;
+              below := true
+            end
+            else if x -. st.up.(j) > !viol then begin
+              r := pos;
+              viol := x -. st.up.(j);
+              below := false
+            end
+          done;
+          if !r < 0 then outcome := Some Reoptimised
+          else begin
+            let r = !r and below = !below in
+            let jl = st.basic.(r) in
+            Array.fill rho 0 m 0.0;
+            rho.(r) <- 1.0;
+            btran st rho;
+            (* st.y is already current (incremental update below), saving
+               the from-scratch BTRAN the pivot loop used to do here *)
+            st.btran_saved <- st.btran_saved + 1;
+            (* breakpoints of the columns whose admissible movement pushes
+               the leaving value back towards its bound *)
+            let k = ref 0 in
+            for j = 0 to ncols - 1 do
+              if st.vstat.(j) <> Basic && st.up.(j) -. st.lo.(j) > zero_tol then begin
+                let idx = st.inst.cidx.(j) and vl = st.inst.cval.(j) in
+                let alpha = ref 0.0 in
+                for p = 0 to Array.length idx - 1 do
+                  alpha := !alpha +. (vl.(p) *. rho.(idx.(p)))
+                done;
+                let alpha = !alpha in
+                if Float.abs alpha > pivot_tol then begin
+                  let eligible =
+                    (* x_B(r) changes by -alpha * dx_j *)
+                    match st.vstat.(j) with
+                    | At_lower -> if below then alpha < 0.0 else alpha > 0.0
+                    | At_upper -> if below then alpha > 0.0 else alpha < 0.0
+                    | Nb_free -> true
+                    | Basic -> false
+                  in
+                  if eligible then begin
+                    let d = reduced_cost st ~phase1:false j in
+                    let slack =
+                      match st.vstat.(j) with
+                      | At_lower -> Float.max 0.0 d
+                      | At_upper -> Float.max 0.0 (-.d)
+                      | Nb_free | Basic -> Float.abs d
+                    in
+                    cj.(!k) <- j;
+                    ct.(!k) <- slack /. Float.abs alpha;
+                    ca.(!k) <- alpha;
+                    cd.(!k) <- d;
+                    incr k
                   end
                 end
               end
-            end
-          done;
-          if !best_j < 0 then ok := false
-          else begin
-            let q = !best_j in
-            scatter_column st q st.w;
-            ftran st st.w;
-            let alpha = st.w.(r) in
-            if Float.abs alpha < pivot_tol /. 10.0 then ok := false
+            done;
+            let k = !k in
+            let ord = Array.init k Fun.id in
+            Array.sort
+              (fun a b ->
+                match Float.compare ct.(a) ct.(b) with
+                | 0 -> Int.compare cj.(a) cj.(b)
+                | c -> c)
+              ord;
+            (* Walk the tie groups: a group is passed (every member flips)
+               while the remaining infeasibility stays positive after
+               paying |alpha_j| * (u_j - l_j) for each member; an
+               infinite range ends the walk. *)
+            let slope = ref !viol and nflip = ref 0 in
+            let enter = ref (-1) and g = ref 0 in
+            while !enter < 0 && !g < k do
+              let t0 = ct.(ord.(!g)) in
+              let h = ref !g and dec = ref 0.0 and best = ref (-1) in
+              while !h < k && ct.(ord.(!h)) <= t0 +. 1e-12 do
+                let c = ord.(!h) in
+                let j = cj.(c) in
+                dec := !dec +. (Float.abs ca.(c) *. (st.up.(j) -. st.lo.(j)));
+                if !best < 0 || Float.abs ca.(c) > Float.abs ca.(!best) then
+                  best := c;
+                incr h
+              done;
+              if !slope -. !dec > 0.0 then begin
+                for p = !g to !h - 1 do
+                  flips.(!nflip) <- cj.(ord.(p));
+                  incr nflip
+                done;
+                slope := !slope -. !dec;
+                g := !h
+              end
+              else enter := !best
+            done;
+            if !enter < 0 then
+              outcome :=
+                Some
+                  (if certify_ray st jl ~below then Certified_infeasible
+                   else Gave_up)
             else begin
-              let jl = st.basic.(r) in
-              let target = if !below then st.lo.(jl) else st.up.(jl) in
+              if !nflip > 0 then begin
+                (* every passed column moves to its opposite bound: one
+                   FTRAN of sum_j a_j dx_j updates the basic values *)
+                Array.fill v 0 m 0.0;
+                for f = 0 to !nflip - 1 do
+                  let j = flips.(f) in
+                  let dx, flipped =
+                    match st.vstat.(j) with
+                    | At_lower -> (st.up.(j) -. st.lo.(j), At_upper)
+                    | At_upper -> (st.lo.(j) -. st.up.(j), At_lower)
+                    | Nb_free | Basic -> assert false
+                  in
+                  let idx = st.inst.cidx.(j) and vl = st.inst.cval.(j) in
+                  for p = 0 to Array.length idx - 1 do
+                    v.(idx.(p)) <- v.(idx.(p)) +. (vl.(p) *. dx)
+                  done;
+                  st.vstat.(j) <- flipped
+                done;
+                ftran st v;
+                for pos = 0 to m - 1 do
+                  if v.(pos) <> 0.0 then st.xb.(pos) <- st.xb.(pos) -. v.(pos)
+                done;
+                st.nflips <- st.nflips + !nflip
+              end;
+              let q = cj.(!enter) in
+              scatter_column st q st.w;
+              ftran st st.w;
+              let alpha = st.w.(r) in
+              let target = if below then st.lo.(jl) else st.up.(jl) in
               let tau = (st.xb.(r) -. target) /. alpha in
-              let range = st.up.(q) -. st.lo.(q) in
-              let tau, flip =
-                match st.vstat.(q) with
-                | At_lower when tau > range && range < infinity -> (range, true)
-                | At_upper when tau < -.range && range < infinity ->
-                  (-.range, true)
-                | At_lower | At_upper | Nb_free | Basic -> (tau, false)
-              in
               let dir_ok =
                 match st.vstat.(q) with
                 | At_lower -> tau >= -1e-9
@@ -944,26 +1082,15 @@ module Instance = struct
                 | Nb_free -> true
                 | Basic -> false
               in
-              if not dir_ok then ok := false
-              else if flip then begin
-                for pos = 0 to m - 1 do
-                  if st.w.(pos) <> 0.0 then
-                    st.xb.(pos) <- st.xb.(pos) -. (st.w.(pos) *. tau)
-                done;
-                st.vstat.(q) <-
-                  (match st.vstat.(q) with
-                  | At_lower -> At_upper
-                  | At_upper -> At_lower
-                  | s -> s);
-                st.nflips <- st.nflips + 1
-              end
+              if Float.abs alpha < pivot_tol /. 10.0 || not dir_ok then
+                outcome := Some Gave_up
               else begin
                 let entering_value = nb_value st q +. tau in
                 for pos = 0 to m - 1 do
                   if pos <> r && st.w.(pos) <> 0.0 then
                     st.xb.(pos) <- st.xb.(pos) -. (st.w.(pos) *. tau)
                 done;
-                st.vstat.(jl) <- (if !below then At_lower else At_upper);
+                st.vstat.(jl) <- (if below then At_lower else At_upper);
                 st.vpos.(jl) <- -1;
                 let wl =
                   Float.max 1.0 (Float.max 1.0 st.dw.(q) /. (alpha *. alpha))
@@ -979,7 +1106,7 @@ module Instance = struct
                 (* Incremental dual update: the new basis prices q to zero,
                    so y' = y + (d_q / alpha_rq) * rho. Bound flips leave
                    the basis (and hence y) untouched. *)
-                let theta = !best_d /. alpha in
+                let theta = cd.(!enter) /. alpha in
                 for i = 0 to m - 1 do
                   if rho.(i) <> 0.0 then st.y.(i) <- st.y.(i) +. (theta *. rho.(i))
                 done;
@@ -992,7 +1119,7 @@ module Instance = struct
           end
         end
       done;
-      !finished
+      Option.get !outcome
     end
 
   let extract st status =
@@ -1075,47 +1202,50 @@ module Instance = struct
         degen_count = 0;
         perturbed = false;
         perturb_rounds = 0;
-        perturb =
-          Array.init ncols (fun j ->
-              let h = (j + 1) * 2654435761 land 0xFFFF in
-              1e-7 +. (1e-6 *. float_of_int h /. 65536.0));
+        perturb = Array.init ncols base_perturb;
         bounds_shifted = false;
         orig_lo = [||];
         orig_up = [||];
       }
     in
-    (match basis with
-    | Some (b : basis) ->
-      assert (Array.length b.vstat = ncols && Array.length b.basic = m);
-      Array.blit b.vstat 0 st.vstat 0 ncols;
-      Array.blit b.basic 0 st.basic 0 m;
-      for j = 0 to ncols - 1 do
-        normalize_nonbasic st j
-      done;
-      st.warm_outcome <- `Reused;
-      refactor st;
-      (* Re-optimise with the dual simplex; when it stalls (or the basis
-         factorised with pathological fill-in) a cold start beats grinding
-         the primal through a half-repaired basis. *)
-      if eta_nnz st > (30 * m) + 5000 then begin
-        cold_reset st;
-        st.warm_outcome <- `Cold
-      end
-      else if not (dual_reoptimize st ~max_pivots:((m / 2) + 200)) then begin
-        cold_reset st;
-        st.warm_outcome <- `Cold
-      end
-      else if st.repairs > 0 then st.warm_outcome <- `Repaired
-    | None ->
-      for r = 0 to m - 1 do
-        st.basic.(r) <- n + r;
-        st.vstat.(n + r) <- Basic;
-        st.vpos.(n + r) <- r
-      done;
-      for j = 0 to n - 1 do
-        normalize_nonbasic st j
-      done;
-      compute_xb st);
+    let certified_infeasible =
+      match basis with
+      | Some (b : basis) -> (
+        assert (Array.length b.vstat = ncols && Array.length b.basic = m);
+        Array.blit b.vstat 0 st.vstat 0 ncols;
+        Array.blit b.basic 0 st.basic 0 m;
+        for j = 0 to ncols - 1 do
+          normalize_nonbasic st j
+        done;
+        st.warm_outcome <- `Reused;
+        refactor st;
+        (* Re-optimise with the dual simplex; when it gives up, or the
+           basis factorised with pathological fill-in, the solve restarts
+           from the all-slack basis. *)
+        let abandon () =
+          cold_reset st;
+          st.warm_outcome <- `Abandoned;
+          false
+        in
+        if eta_nnz st > (30 * m) + 5000 then abandon ()
+        else
+          match dual_reoptimize st ~max_pivots:((m / 2) + 200) with
+          | Gave_up -> abandon ()
+          | (Reoptimised | Certified_infeasible) as outcome ->
+            if st.repairs > 0 then st.warm_outcome <- `Repaired;
+            outcome = Certified_infeasible)
+      | None ->
+        for r = 0 to m - 1 do
+          st.basic.(r) <- n + r;
+          st.vstat.(n + r) <- Basic;
+          st.vpos.(n + r) <- r
+        done;
+        for j = 0 to n - 1 do
+          normalize_nonbasic st j
+        done;
+        compute_xb st;
+        false
+    in
     let confirm = ref false in
     let rec loop () =
       if st.niter > max_iters then
@@ -1218,7 +1348,13 @@ module Instance = struct
       if should_refactor st then refactor st;
       loop ()
     in
-    loop ()
+    if certified_infeasible then begin
+      (* the certificate came from a fresh factorisation; the duals of an
+         infeasible result are meaningless, so report the genuine costs' *)
+      st.perturbed <- false;
+      extract st Infeasible
+    end
+    else loop ()
 end
 
 let solve ?params lp = Instance.solve ?params (Instance.create lp)

@@ -10,12 +10,26 @@
     search and eta push walk its FTRAN pattern in ascending row order,
     which gives the same eta file as a dense scan. Rows are turned into
     equalities with one (bounded) logical slack per row, so the initial
-    all-slack basis always exists; primal infeasibility of a starting
+    all-slack basis always exists; primal infeasibility of the all-slack
     basis is driven out by a composite phase-1 objective (piecewise-linear
-    sum of bound violations of basic variables), which also makes warm
-    starts from an arbitrary basis possible — this is what {!Milp} relies
-    on between branch-and-bound nodes, and what {!Basis} extends across
-    structurally different LPs via name-keyed remapping.
+    sum of bound violations of basic variables).
+
+    A supplied basis (what {!Milp} passes between branch-and-bound nodes,
+    and what {!Basis} carries across structurally different LPs via
+    name-keyed remapping) is factorised and re-optimised by a bounded dual
+    simplex. On entry each nonbasic column's cost is shifted by a
+    deterministic epsilon in its dual-feasible direction, against dual
+    degeneracy; the primal loop withdraws the shift before any optimality
+    claim. Its ratio test is the long-step (bound-flipping) one: it passes
+    the breakpoints of boxed columns while the leaving row's infeasibility
+    pays for flipping them, and applies all the flips with one FTRAN
+    before the basis change. A leaving row that no column can bring back
+    to its bound is a dual ray: the solve returns [Infeasible] once a
+    Farkas-style bound of that row over the box of every nonbasic column,
+    taken from a fresh factorisation, misses the bound by more than 1e-6.
+    A basis that is not dual feasible, a ray that bound refuses, a
+    vanishing pivot or [m/2 + 200] dual pivots without primal feasibility
+    abandon the basis, and the solve restarts from the all-slack basis.
 
     Pricing is devex over a partial candidate scan (reference weights
     updated per pivot, wrap-around chunked scan). After a long degenerate
@@ -43,11 +57,14 @@ type basis = { vstat : vstat array; basic : int array }
 
 type status = Optimal | Infeasible | Unbounded
 
-(** How a supplied starting basis was used: [`Cold] — none supplied, or it
-    was abandoned (pathological fill-in, dual re-optimisation stall);
-    [`Reused] — factorised exactly as given; [`Repaired] — factorised
-    after substituting logical slacks for singular columns. *)
-type warm = [ `Cold | `Reused | `Repaired ]
+(** How a supplied starting basis was used: [`Cold] — none supplied;
+    [`Reused] — factorised exactly as given and re-optimised from;
+    [`Repaired] — the same after substituting logical slacks for singular
+    columns; [`Abandoned] — supplied, but thrown away for a restart from
+    the all-slack basis (fill-in past [30m + 5000] eta nonzeros, a basis
+    that is not dual feasible, a refused dual ray, a vanishing dual pivot
+    or the dual pivot cap). *)
+type warm = [ `Cold | `Reused | `Repaired | `Abandoned ]
 
 type result = {
   status : status;
@@ -58,8 +75,10 @@ type result = {
   basis : basis;
   iterations : int;
   bound_flips : int;
-      (** ratio-test steps resolved by flipping the entering variable to
-          its opposite bound — no basis change, no eta, no fresh BTRAN *)
+      (** nonbasic columns moved to their opposite bound without a basis
+          change: primal ratio-test steps limited by the entering
+          variable's own range (no eta, no fresh BTRAN), and the
+          breakpoints a dual long step passes *)
   warm : warm;
   btran_saved : int;
       (** full BTRAN passes the dual re-optimisation avoided by updating

@@ -277,7 +277,7 @@ let test_warm_basis_matches_cold () =
             (label ^ " warm basis used") true
             (match warm.Optrouter.stats.Optrouter.warm_start with
             | `Reused | `Repaired -> true
-            | `Cold -> false);
+            | `Cold | `Abandoned -> false);
           Alcotest.(check bool)
             (label ^ " cold solve stays cold") true
             (cold.Optrouter.stats.Optrouter.warm_start = `Cold))
@@ -570,6 +570,18 @@ let test_telemetry_root_lp_line () =
      (bound_flips set to 3 above is only reported alongside). *)
   Alcotest.(check bool) "repaired-only earns the line" true
     (contains_substring (render ()) "repaired");
+  Alcotest.(check bool) "no abandoned basis, none named" false
+    (contains_substring s "abandoned");
+  let abandoned =
+    Sweep.merge_telemetry
+      { Sweep.empty_telemetry with Sweep.solves = 1; warm_abandoned = 1 }
+      { Sweep.empty_telemetry with Sweep.solves = 1; warm_abandoned = 1 }
+  in
+  Alcotest.(check bool) "abandoned bases merge additively and earn the line"
+    true
+    (contains_substring
+       (Sweep.render_telemetry abandoned)
+       "warm basis 0 reused / 0 repaired / 2 abandoned");
   let quiet =
     Sweep.render_telemetry
       { Sweep.empty_telemetry with Sweep.solves = 1; fast_path_hits = 1 }

@@ -228,7 +228,43 @@ let test_simplex_warm_start () =
     (r2.iterations <= r1.iterations);
   Alcotest.(check bool)
     "warm start reported" true
-    (match r2.warm with `Reused | `Repaired -> true | `Cold -> false)
+    (match r2.warm with
+    | `Reused | `Repaired -> true
+    | `Cold | `Abandoned -> false)
+
+let test_simplex_warm_start_abandoned () =
+  (* The optimal basis for cost c is not dual feasible for cost -c, so the
+     dual re-optimisation refuses it and the solve restarts from the
+     all-slack basis: reported as abandoned, never as a cold solve that
+     was given no basis. *)
+  let vars sign =
+    [
+      cont "x" 0.0 3.0 (sign *. -1.0);
+      cont "y" 0.0 3.0 (sign *. -2.0);
+      cont "z" 0.0 3.0 (sign *. 1.0);
+    ]
+  in
+  let rows =
+    [
+      ("cap", [ (0, 1.0); (1, 1.0); (2, 1.0) ], Lp.Le, 4.0);
+      ("mix", [ (0, 1.0); (1, -1.0) ], Lp.Ge, -2.0);
+    ]
+  in
+  let basis = (Simplex.solve (build (vars 1.0) rows)).basis in
+  let lp = build (vars (-1.0)) rows in
+  let warm =
+    Simplex.Instance.solve
+      ~params:(Simplex.make_params ~basis ())
+      (Simplex.Instance.create lp)
+  in
+  let cold = Simplex.solve lp in
+  Alcotest.(check bool)
+    "abandoned" true
+    (match warm.warm with
+    | `Abandoned -> true
+    | `Cold | `Reused | `Repaired -> false);
+  Alcotest.(check bool) "same status" true (warm.status = cold.status);
+  check_float "same objective" cold.objective warm.objective
 
 let test_simplex_warm_start_changed_bounds () =
   let lp =
@@ -443,6 +479,92 @@ let prop_refactor_repairs_warm_bases =
         Float.abs (res.objective -. obj) <= 1e-5
         && Result.is_ok (Simplex.verify_optimal lp res)
       | Simplex.Infeasible, Dense.Infeasible -> true
+      | _, _ -> false)
+
+(* The relaxation of a small 0/1 program, the routing LPs' shape: every
+   variable in [0, 1] and wider coefficients, so a dual long step can pay
+   for flipping several boxed columns at once. *)
+let box_lp_gen =
+  let open QCheck.Gen in
+  let* nv = int_range 2 8 in
+  let* nr = int_range 1 4 in
+  let* objs = array_size (return nv) (int_range (-5) 5) in
+  let* rows =
+    list_size (return nr)
+      (let* cs = array_size (return nv) (int_range (-7) 7) in
+       let* sense = oneofl [ Lp.Le; Lp.Ge; Lp.Eq ] in
+       let* rhs = int_range (-6) 10 in
+       return (cs, sense, rhs))
+  in
+  return (lp_of_ints objs (Array.make nv 1) rows)
+
+(* [lp] with its structural bounds replaced by [lo] and [up]. *)
+let with_bounds (lp : Lp.t) lo up =
+  let b = Lp.Builder.create () in
+  Array.iteri
+    (fun j (v : Lp.var) ->
+      ignore
+        (Lp.Builder.add_var b ~name:v.v_name ~lower:lo.(j) ~upper:up.(j)
+           ~obj:v.obj v.kind))
+    lp.vars;
+  Array.iter
+    (fun (r : Lp.row) ->
+      Lp.Builder.add_row b ~name:r.r_name (Array.to_list r.coeffs) r.sense
+        r.rhs)
+    lp.rows;
+  Lp.Builder.finish b
+
+(* Branch-and-bound re-solves in miniature: solve an LP cold, cut 1-3
+   variables off their optimal values as [Milp.children] does (the down
+   side caps a variable at ceil x - 1, the up side raises it to
+   floor x + 1, clamped to the other bound), and re-solve from the parent
+   basis. The dual re-optimisation then passes bound-flip breakpoints in
+   its long steps (several in one step on about one case in 1,500) and
+   meets dual rays on infeasible children (about one case in five), and
+   the warm verdict must match the dense oracle's on the child LP. *)
+let prop_branch_resolves_match_dense =
+  let gen =
+    let open QCheck.Gen in
+    let* lp = oneof [ random_lp_gen; feasible_lp_gen; box_lp_gen ] in
+    let* cuts = list_size (int_range 1 3) (pair (int_bound 7) bool) in
+    return (lp, cuts)
+  in
+  let print (lp, cuts) =
+    Format.asprintf "%a@.cuts = [%s]" Lp.pp lp
+      (String.concat "; "
+         (List.map
+            (fun (j, up) -> Printf.sprintf "%d %s" j (if up then "up" else "down"))
+            cuts))
+  in
+  QCheck.Test.make ~name:"warm re-solves of branched children match the oracle"
+    ~count:10_000 (QCheck.make ~print gen) (fun (lp, cuts) ->
+      let inst = Simplex.Instance.create lp in
+      let parent = Simplex.Instance.solve inst in
+      parent.status <> Simplex.Optimal
+      ||
+      let n = Lp.nvars lp in
+      let lo = Array.map (fun (v : Lp.var) -> v.lower) lp.vars in
+      let up = Array.map (fun (v : Lp.var) -> v.upper) lp.vars in
+      List.iter
+        (fun (j, raise_lower) ->
+          let j = j mod n in
+          let x = parent.x.(j) in
+          if raise_lower then lo.(j) <- Float.min up.(j) (Float.floor x +. 1.0)
+          else up.(j) <- Float.max lo.(j) (Float.ceil x -. 1.0))
+        cuts;
+      let res =
+        Simplex.Instance.solve
+          ~params:
+            (Simplex.make_params ~basis:parent.basis ~lower:lo ~upper:up ())
+          inst
+      in
+      let child = with_bounds lp lo up in
+      match (res.status, Dense.solve child) with
+      | Simplex.Optimal, Dense.Optimal (obj, _) ->
+        Float.abs (res.objective -. obj) <= 1e-6
+        && Result.is_ok (Simplex.verify_optimal child res)
+      | Simplex.Infeasible, Dense.Infeasible -> true
+      | Simplex.Unbounded, Dense.Unbounded -> true
       | _, _ -> false)
 
 (* ------------------------------------------------------------------ *)
@@ -1119,12 +1241,13 @@ let test_bland_fallback_roots () =
     [ (1, 1436, 0, 35.0); (4, 6330, 21, 35.0) ]
 
 (* The quickstart clip's RULE1 optimal basis, remapped by name onto the
-   RULE3, RULE4, RULE6 and RULE12 encodings (N28-12T), as the sweep's warm
-   roots do. Intake refactorisation of each remapped basis decides the
-   pivots that follow, so any change to column placement shows here:
-   RULE4 and RULE12 re-optimise the factorised basis, while RULE3 and the
-   infeasible RULE6 abandon it and restart cold. Objectives are pinned
-   bit for bit. *)
+   RULE2, RULE3, RULE4, RULE6, RULE12 and RULE13 encodings (N28-12T), as
+   the sweep's warm roots do. Intake refactorisation of each remapped
+   basis decides the pivots that follow, so any change to column placement
+   or to the dual method shows here: every root keeps its basis, RULE2,
+   RULE3 and RULE13 pass bound-flip breakpoints in the long-step ratio
+   test, and RULE6 ends on a certified dual ray. Objectives are pinned bit
+   for bit (RULE6's is the infeasible basis's value). *)
 let test_warm_root_pins () =
   let lp1 = quickstart_lp 1 in
   let assoc = Simplex.Basis.to_assoc lp1 (Simplex.solve lp1).Simplex.basis in
@@ -1132,6 +1255,7 @@ let test_warm_root_pins () =
     | `Cold -> "cold"
     | `Reused -> "reused"
     | `Repaired -> "repaired"
+    | `Abandoned -> "abandoned"
   in
   List.iter
     (fun (k, status, iterations, flips, warm, objective) ->
@@ -1152,10 +1276,12 @@ let test_warm_root_pins () =
         (label ^ " objective") objective
         (Printf.sprintf "%h" res.Simplex.objective))
     [
-      (3, Simplex.Optimal, 4184, 1949, "cold", "0x1.1cp+5");
-      (4, Simplex.Optimal, 3, 0, "reused", "0x1.18p+5");
-      (6, Simplex.Infeasible, 3230, 0, "cold", "0x1.0392492492492p+6");
-      (12, Simplex.Optimal, 17, 0, "reused", "0x1.18p+5");
+      (2, Simplex.Optimal, 58, 6, "reused", "0x1.1cp+5");
+      (3, Simplex.Optimal, 42, 4, "reused", "0x1.1cp+5");
+      (4, Simplex.Optimal, 4, 0, "reused", "0x1.18p+5");
+      (6, Simplex.Infeasible, 10, 0, "reused", "0x1.1cp+5");
+      (12, Simplex.Optimal, 15, 0, "reused", "0x1.18p+5");
+      (13, Simplex.Optimal, 70, 6, "reused", "0x1.1cp+5");
     ]
 
 let test_simplex_bound_flip () =
@@ -1189,7 +1315,9 @@ let test_basis_assoc_roundtrip () =
   check_float "same objective" r.Simplex.objective r2.Simplex.objective;
   Alcotest.(check bool)
     "warm start reported" true
-    (match r2.Simplex.warm with `Reused | `Repaired -> true | `Cold -> false)
+    (match r2.Simplex.warm with
+    | `Reused | `Repaired -> true
+    | `Cold | `Abandoned -> false)
 
 let test_basis_text_roundtrip () =
   let lp = transportation_lp () in
@@ -1282,6 +1410,8 @@ let () =
           Alcotest.test_case "degenerate constraints" `Quick
             test_simplex_degenerate;
           Alcotest.test_case "warm start" `Quick test_simplex_warm_start;
+          Alcotest.test_case "warm start abandons a dual-infeasible basis"
+            `Quick test_simplex_warm_start_abandoned;
           Alcotest.test_case "warm start with changed bounds" `Quick
             test_simplex_warm_start_changed_bounds;
           Alcotest.test_case ">= rows" `Quick test_simplex_ge_rows;
@@ -1306,6 +1436,7 @@ let () =
           qtest prop_simplex_certificate;
           qtest prop_feasible_lp_solved;
           qtest prop_refactor_repairs_warm_bases;
+          qtest prop_branch_resolves_match_dense;
         ] );
       ( "simplex-pricing",
         [
