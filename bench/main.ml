@@ -807,40 +807,24 @@ let section_solver () =
    sub-gradient mode routes it with a certified gap in a fraction of a
    second. Per tech: [OPTROUTER_BENCH_LAG_CLIPS] generated paper-size
    clips ([Extract.paper_params] windows over scaled aes/m0 designs,
-   top-k by difficulty) solved under RULE1 at pricing widths 1/2/4,
-   plus an exact cross-check on the bundled sample clips where the ILP
-   optimum is provable, bounding the true optimality gap. The section
-   exits 1 when its record breaks an invariant: each tech reaches the
-   requested clip count; solutions are byte-identical across widths, and
-   so are [feasible] and [gap_max]; every width routes at least 80% of
-   its clips with 0 <= gap mean <= gap max <= 1; on hosts with 4 or more
-   cores, 4-wide pricing takes at most 1.25x the wall time of 1-wide;
-   and every cross-check entry has a primal, a dual bound no higher, and
-   a true gap within [0, 0.05]. *)
+   top-k by difficulty) solved under RULE1, plus an exact cross-check on
+   the bundled sample clips where the ILP optimum is provable, bounding
+   the true optimality gap. The section exits 1 when its record breaks an
+   invariant: each tech reaches the requested clip count and routes at
+   least 80% of its clips with 0 <= gap mean <= gap max <= 1, and every
+   cross-check entry has a primal, a dual bound no higher, and a true gap
+   within [0, 0.05]. *)
 let section_lagrangian () =
-  banner "lagrangian: paper-size decomposition (-j 1/2/4)";
-  let widths = [ 1; 2; 4 ] in
-  let cores = Domain.recommended_domain_count () in
+  banner "lagrangian: paper-size decomposition";
   let n_clips = max 1 (env_int "OPTROUTER_BENCH_LAG_CLIPS" 20) in
   let iters = env_int "OPTROUTER_BENCH_LAG_ITERS" 40 in
   let rules = Rules.rule 1 in
   let mismatches = ref 0 in
   let table = ref [] in
   let per_tech = ref [] in
-  let solution_bytes (sol : Route.solution) =
-    String.concat "|"
-      (Array.to_list
-         (Array.map
-            (fun (r : Route.net_route) ->
-              Printf.sprintf "%d:%s" r.Route.net
-                (String.concat ","
-                   (List.map string_of_int
-                      (List.sort Int.compare r.Route.edges))))
-            sol.Route.routes))
-  in
-  let lag_solve jobs g =
+  let lag_solve g =
     Lagrangian.solve
-      ~params:(Lagrangian.make_params ~jobs ~max_iters:iters ~round_every:10 ())
+      ~params:(Lagrangian.make_params ~max_iters:iters ~round_every:10 ())
       ~rules g
   in
   List.iter
@@ -861,113 +845,47 @@ let section_lagrangian () =
         List.concat_map (Extract.windows (Extract.paper_params tech)) designs
       in
       let clips = List.map fst (Extract.top_k n_clips windows) in
-      let graphs =
-        List.map (fun clip -> (clip, Graph.build ~tech ~rules clip)) clips
-      in
+      let graphs = List.map (Graph.build ~tech ~rules) clips in
       let n = List.length clips in
-      let baseline = ref [] in
-      let runs =
-        List.map
-          (fun jobs ->
-            let t0 = Unix.gettimeofday () in
-            let feasible = ref 0 and busy = ref 0.0 in
-            let gaps = ref [] in
-            let bytes =
-              List.map
-                (fun ((clip : Clip.t), g) ->
-                  let r = lag_solve jobs g in
-                  busy := !busy +. r.Lagrangian.busy_s;
-                  (match r.Lagrangian.gap with
-                  | Some gap -> gaps := gap :: !gaps
-                  | None -> ());
-                  match r.Lagrangian.solution with
-                  | Some sol ->
-                    incr feasible;
-                    (clip.Clip.c_name, solution_bytes sol)
-                  | None -> (clip.Clip.c_name, "<none>"))
-                graphs
-            in
-            let wall = Unix.gettimeofday () -. t0 in
-            (match !baseline with
-            | [] -> baseline := bytes
-            | base ->
-              List.iter2
-                (fun (name, b1) (_, bj) ->
-                  check mismatches (b1 = bj)
-                    "MISMATCH: %s at %d pricing workers diverges from -j 1"
-                    name jobs)
-                base bytes);
-            let frate =
-              if n = 0 then 0.0 else float_of_int !feasible /. float_of_int n
-            in
-            let gap_max = List.fold_left Float.max 0.0 !gaps in
-            let gap_mean =
-              match !gaps with
-              | [] -> 0.0
-              | gs ->
-                List.fold_left ( +. ) 0.0 gs /. float_of_int (List.length gs)
-            in
-            table :=
-              [
-                tech.Tech.name;
-                string_of_int jobs;
-                string_of_int n;
-                Printf.sprintf "%d/%d" !feasible n;
-                Printf.sprintf "%.3f" gap_mean;
-                Printf.sprintf "%.3f" gap_max;
-                Printf.sprintf "%.3f" wall;
-                Printf.sprintf "%.3f" !busy;
-              ]
-              :: !table;
-            (jobs, wall, !busy, !feasible, frate, gap_mean, gap_max))
-          widths
+      let t0 = Unix.gettimeofday () in
+      let feasible = ref 0 and busy = ref 0.0 and gaps = ref [] in
+      List.iter
+        (fun g ->
+          let r = lag_solve g in
+          busy := !busy +. r.Lagrangian.busy_s;
+          Option.iter (fun gap -> gaps := gap :: !gaps) r.Lagrangian.gap;
+          if Option.is_some r.Lagrangian.solution then incr feasible)
+        graphs;
+      let wall = Unix.gettimeofday () -. t0 in
+      let frate =
+        if n = 0 then 0.0 else float_of_int !feasible /. float_of_int n
       in
-      let wall1, feasible1, gap_max1 =
-        match runs with
-        | (_, w, _, f, _, _, g) :: _ -> (w, f, g)
-        | [] -> (0.0, 0, 0.0)
+      let gap_max = List.fold_left Float.max 0.0 !gaps in
+      let gap_mean =
+        match !gaps with
+        | [] -> 0.0
+        | gs -> List.fold_left ( +. ) 0.0 gs /. float_of_int (List.length gs)
       in
+      table :=
+        [
+          tech.Tech.name;
+          string_of_int n;
+          Printf.sprintf "%d/%d" !feasible n;
+          Printf.sprintf "%.3f" gap_mean;
+          Printf.sprintf "%.3f" gap_max;
+          Printf.sprintf "%.3f" wall;
+          Printf.sprintf "%.3f" !busy;
+        ]
+        :: !table;
       check mismatches (n >= n_clips) "LAGRANGIAN: %s has %d of %d clips"
         tech.Tech.name n n_clips;
-      List.iter
-        (fun (jobs, wall, _, feas, frate, gmean, gmax) ->
-          check mismatches (frate >= 0.8)
-            "LAGRANGIAN: %s at %d pricing workers routes %d of %d clips \
-             (feasibility %.2f < 0.8)"
-            tech.Tech.name jobs feas n frate;
-          check mismatches
-            (0.0 <= gmean && gmean <= gmax && gmax <= 1.0)
-            "LAGRANGIAN: %s at %d pricing workers has gap mean %g, max %g"
-            tech.Tech.name jobs gmean gmax;
-          check mismatches
-            (feas = feasible1 && gmax = gap_max1)
-            "LAGRANGIAN: %s at %d pricing workers routes %d clips at gap \
-             max %g, -j 1 %d at %g"
-            tech.Tech.name jobs feas gmax feasible1 gap_max1;
-          check mismatches
-            (cores < 4 || jobs <> 4 || wall <= 1.25 *. wall1)
-            "LAGRANGIAN: %s at 4 pricing workers takes %.3f s, over 1.25x \
-             the %.3f s of -j 1 on %d cores"
-            tech.Tech.name wall wall1 cores)
-        runs;
-      let runs_json =
-        List.map
-          (fun (jobs, wall, busy, feas, frate, gmean, gmax) ->
-            Report.Json.Obj
-              [
-                ("workers", Report.Json.Int jobs);
-                ("wall_s", Report.Json.Float wall);
-                ("busy_s", Report.Json.Float busy);
-                ("feasible", Report.Json.Int feas);
-                ("feasibility_rate", Report.Json.Float frate);
-                ("gap_mean", Report.Json.Float gmean);
-                ("gap_max", Report.Json.Float gmax);
-                ( "speedup_vs_serial",
-                  Report.Json.Float (if wall > 0.0 then wall1 /. wall else 0.0)
-                );
-              ])
-          runs
-      in
+      check mismatches (frate >= 0.8)
+        "LAGRANGIAN: %s routes %d of %d clips (feasibility %.2f < 0.8)"
+        tech.Tech.name !feasible n frate;
+      check mismatches
+        (0.0 <= gap_mean && gap_mean <= gap_max && gap_max <= 1.0)
+        "LAGRANGIAN: %s has gap mean %g, max %g" tech.Tech.name gap_mean
+        gap_max;
       let dims =
         match clips with
         | c :: _ ->
@@ -981,17 +899,19 @@ let section_lagrangian () =
             [
               ("clips", Report.Json.Int n);
               ("dims", Report.Json.String dims);
-              ("runs", Report.Json.List runs_json);
+              ("wall_s", Report.Json.Float wall);
+              ("busy_s", Report.Json.Float !busy);
+              ("feasible", Report.Json.Int !feasible);
+              ("feasibility_rate", Report.Json.Float frate);
+              ("gap_mean", Report.Json.Float gap_mean);
+              ("gap_max", Report.Json.Float gap_max);
             ] )
         :: !per_tech)
     Tech.all;
   print_string
     (Report.Table.render
        ~header:
-         [
-           "tech"; "workers"; "clips"; "feasible"; "gap mean"; "gap max";
-           "wall s"; "busy s";
-         ]
+         [ "tech"; "clips"; "feasible"; "gap mean"; "gap max"; "wall s"; "busy s" ]
        (List.rev !table));
   (* Exact cross-check: on the bundled clips the ILP optimum is provable,
      so the decomposition's dual bound and rounded primal sandwich a known
@@ -1013,7 +933,7 @@ let section_lagrangian () =
         | Optrouter.Routed exact ->
           let opt = exact.Route.metrics.cost in
           let g = Graph.build ~tech ~rules clip in
-          let r = lag_solve 1 g in
+          let r = lag_solve g in
           let primal =
             match r.Lagrangian.solution with
             | Some sol -> Some sol.Route.metrics.cost
@@ -1057,38 +977,14 @@ let section_lagrangian () =
             :: !crosscheck)
       clips);
   check mismatches (!crosscheck <> []) "LAGRANGIAN CROSS-CHECK: no entries";
-  let note =
-    let domains = List.fold_left max 1 widths in
-    let base =
-      "speedup_vs_serial at 4 pricing workers is the headline number; \
-       solutions are byte-identical across widths by construction."
-    in
-    if cores = 1 then
-      Printf.sprintf
-        "Host exposes 1 core: the %d pricing domains time-slice it, so no \
-         wall-clock speedup is measurable here — the width series verifies \
-         the determinism contract and bounds the fan-out overhead. %s"
-        domains base
-    else if cores < domains then
-      Printf.sprintf
-        "Host exposes %d cores: the %d pricing domains time-slice them, so \
-         the speedup is capped at %dx. %s"
-        cores domains cores base
-    else base
-  in
-  Printf.printf "note: %s\nhost cores: %d, gap_vs_exact_max: %g\n" note cores
-    !cross_gap_max;
+  Printf.printf "gap_vs_exact_max: %g\n" !cross_gap_max;
   ensure_results_dir ();
   let path = Filename.concat results_dir "BENCH_lagrangian.json" in
   Report.Json.write_file path
     (Report.Json.Obj
        [
-         ( "widths",
-           Report.Json.List (List.map (fun j -> Report.Json.Int j) widths) );
-         ("host_cores", Report.Json.Int cores);
          ("max_iters", Report.Json.Int iters);
          ("clips_per_tech", Report.Json.Int n_clips);
-         ("note", Report.Json.String note);
          ("paper_size", Report.Json.Obj (List.rev !per_tech));
          ( "exact_crosscheck",
            Report.Json.Obj

@@ -177,7 +177,7 @@ let solve_mode_arg =
         ~doc:
           "Solve engine: $(b,exact) (build the full ILP and prove the \
            optimum, the default) or $(b,lagrangian) (sub-gradient \
-           decomposition: per-net subproblems priced in parallel, a valid \
+           decomposition: per-net subproblems priced one by one, a valid \
            dual bound, and a DRC-certified near-optimal routing with a \
            reported optimality gap — for clips beyond the exact solver's \
            reach).")

@@ -196,8 +196,7 @@ let fast_path ~rules g (sol : Route.solution) =
    the dual bound and gap in [stats.lagrangian]. *)
 let route_lagrangian ~config ?seed ~rules (g : Graph.t) ~start =
   let params =
-    Lagrangian.make_params ~jobs:config.milp.Milp.solver_jobs
-      ~time_limit_s:config.milp.Milp.time_limit_s ()
+    Lagrangian.make_params ~time_limit_s:config.milp.Milp.time_limit_s ()
   in
   let r = Lagrangian.solve ~params ?seed ~rules g in
   let verdict =

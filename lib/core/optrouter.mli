@@ -13,8 +13,8 @@
     [Exact] is the paper's path: build the full ILP and prove the optimum
     with branch and bound. [Lagrangian] dualises the shared capacity rows
     and runs the sub-gradient decomposition of
-    {!Optrouter_lagrangian.Lagrangian}: per-net subproblems priced in
-    parallel, a valid dual (lower) bound, and a DRC-certified feasible
+    {!Optrouter_lagrangian.Lagrangian}: per-net subproblems priced one
+    after another, a valid dual (lower) bound, and a DRC-certified feasible
     routing obtained by rounding — {e near-optimal}, never proven, with
     the bound and gap reported in [stats.lagrangian]. It is the fast
     mode, not the only one for paper-size 7×10×8 clips: the exact path
@@ -35,7 +35,7 @@ type lagrangian_stats = {
   lag_gap : float option;
       (** (primal - dual_bound) / primal; [None] without a feasible
           routing *)
-  lag_busy_s : float;  (** summed per-net pricing work across domains *)
+  lag_busy_s : float;  (** pricing time summed over the iterations *)
   lag_wall_s : float;  (** wall clock of the decomposition solve alone *)
   lag_rounds : int;  (** rounding attempts *)
   lag_rip_ups : int;  (** nets ripped up across repair rounds *)
@@ -109,9 +109,9 @@ type config = {
   milp : Optrouter_ilp.Milp.params;
   solve_mode : solve_mode;
       (** [Lagrangian] runs {!Optrouter_lagrangian.Lagrangian.default_params}
-          with [jobs] and [time_limit_s] taken from [milp.solver_jobs] /
-          [milp.time_limit_s], so both modes share one effort budget (and
-          the sweep's [Pool.Budget] width grants apply unchanged) *)
+          with [time_limit_s] taken from [milp.time_limit_s], so both modes
+          share one deadline; pricing is serial, so [milp.solver_jobs] (the
+          branch-and-bound width) has no effect on it *)
   heuristic_incumbent : bool;
       (** seed branch and bound with a quick {!Optrouter_maze.Maze} routing
           lifted through {!Formulate.encode}; default [true]. Optimality is

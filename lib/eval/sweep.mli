@@ -98,7 +98,7 @@ type telemetry = {
           ([solve_mode = Lagrangian]) *)
   lag_iterations : int;  (** summed sub-gradient iterations *)
   lag_busy_s : float;
-      (** summed per-net pricing work across decomposition solves *)
+      (** summed pricing time across decomposition solves *)
   lag_wall_s : float;
       (** summed decomposition-solve wall time (a span: merges by [max]
           across merged records, like [solver_wall_s]) *)

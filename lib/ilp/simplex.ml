@@ -11,7 +11,6 @@ type result = {
   objective : float;
   x : float array;
   duals : float array;
-  reduced_costs : float array;
   basis : basis;
   iterations : int;
   bound_flips : int;
@@ -1013,9 +1012,11 @@ module Instance = struct
                 | c -> c)
               ord;
             (* Walk the tie groups: a group is passed (every member flips)
-               while the remaining infeasibility stays positive after
-               paying |alpha_j| * (u_j - l_j) for each member; an
-               infinite range ends the walk. *)
+               while the remaining infeasibility stays above [feas_tol]
+               after paying |alpha_j| * (u_j - l_j) for each member; an
+               infinite range ends the walk. A group that pays it off
+               exactly leaves round-off (1e-16) behind, and passing it
+               would end the walk on a ray that [certify_ray] refuses. *)
             let slope = ref !viol and nflip = ref 0 in
             let enter = ref (-1) and g = ref 0 in
             while !enter < 0 && !g < k do
@@ -1029,7 +1030,7 @@ module Instance = struct
                   best := c;
                 incr h
               done;
-              if !slope -. !dec > 0.0 then begin
+              if !slope -. !dec > feas_tol then begin
                 for p = !g to !h - 1 do
                   flips.(!nflip) <- cj.(ord.(p));
                   incr nflip
@@ -1127,7 +1128,6 @@ module Instance = struct
     let x = Array.init n (fun j -> value_of st j) in
     compute_duals st ~phase1:false;
     let duals = Array.copy st.y in
-    let reduced_costs = Array.init n (fun j -> reduced_cost st ~phase1:false j) in
     let objective =
       let acc = ref 0.0 in
       for j = 0 to n - 1 do
@@ -1140,7 +1140,6 @@ module Instance = struct
       objective;
       x;
       duals;
-      reduced_costs;
       basis =
         ({ vstat = Array.copy st.vstat; basic = Array.copy st.basic } : basis);
       iterations = st.niter;

@@ -71,7 +71,6 @@ type result = {
   objective : float;  (** meaningful only when [status = Optimal] *)
   x : float array;  (** structural variable values *)
   duals : float array;  (** one multiplier per row *)
-  reduced_costs : float array;  (** one per structural variable *)
   basis : basis;
   iterations : int;
   bound_flips : int;

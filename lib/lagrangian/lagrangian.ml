@@ -3,7 +3,6 @@ module Clip = Optrouter_grid.Clip
 module Route = Optrouter_grid.Route
 module Drc = Optrouter_grid.Drc
 module Rules = Optrouter_tech.Rules
-module Pool = Optrouter_exec.Pool
 module Pqueue = Optrouter_maze.Pqueue
 module Maze = Optrouter_maze.Maze
 module Log = Optrouter_report.Report.Log
@@ -11,17 +10,16 @@ module Log = Optrouter_report.Report.Log
 type params = {
   max_iters : int;
   time_limit_s : float option;
-  jobs : int;
   round_every : int;
 }
 
 let default_params =
-  { max_iters = 150; time_limit_s = Some 60.0; jobs = 1; round_every = 20 }
+  { max_iters = 150; time_limit_s = Some 60.0; round_every = 20 }
 
 let make_params ?(max_iters = default_params.max_iters)
-    ?(time_limit_s = default_params.time_limit_s) ?(jobs = default_params.jobs)
+    ?(time_limit_s = default_params.time_limit_s)
     ?(round_every = default_params.round_every) () =
-  { max_iters; time_limit_s; jobs; round_every }
+  { max_iters; time_limit_s; round_every }
 
 (* Largest sink count priced exactly by the Steiner DP, whose table grows
    as 3^sinks; larger nets fall back to a valid single-path lower bound. *)
@@ -305,9 +303,6 @@ let solve ?(params = default_params) ?seed ~rules (g : Graph.t) =
       g.Graph.clip.Clip.cols * g.Graph.clip.Clip.rows
       * g.Graph.clip.Clip.layers
     in
-    let jobs = max 1 params.jobs in
-    let pool = Pool.create ~domains:jobs in
-    Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
     (* Price edges in the objective the caller asked for — the same
        coefficients Formulate puts on the e-binaries — so the dual bound
        and the ILP optimum live in the same units under via objectives. *)
@@ -430,21 +425,16 @@ let solve ?(params = default_params) ?seed ~rules (g : Graph.t) =
       in
       let vprice = Array.make g.Graph.nverts 0.0 in
       Array.blit mu 0 vprice 0 ngrid;
-      let price k =
-        let s0 = Unix.gettimeofday () in
-        let r = price_net g ~eprice ~vprice k in
-        (r, Unix.gettimeofday () -. s0)
-      in
-      let results = Pool.map pool price (List.init nnets Fun.id) in
-      let iter_busy = List.fold_left (fun acc (_, b) -> acc +. b) 0.0 results in
+      let s0 = Unix.gettimeofday () in
+      let results = Array.init nnets (price_net g ~eprice ~vprice) in
+      let iter_busy = Unix.gettimeofday () -. s0 in
       busy_total := !busy_total +. iter_busy;
-      (* Deterministic reduction in net order: identical at any width. *)
       let edge_use = Array.make nedges 0 in
       let vert_use = Array.make ngrid 0 in
       let vert_mark = Array.make g.Graph.nverts (-1) in
       let sum_costs = ref 0.0 in
-      List.iteri
-        (fun k (r, _) ->
+      Array.iteri
+        (fun k r ->
           match r with
           | None -> () (* impossible after the reachability pre-check *)
           | Some (c, tree) ->

@@ -39,10 +39,12 @@
     to [ceil] of the best raw dual value; fractional via weights keep
     the raw dual.
 
-    The per-net pricing fans out over an {!Optrouter_exec.Pool} of
-    [jobs] worker domains; results are reduced in net order, so the
-    outcome is byte-identical for any [jobs] (the sweep's determinism
-    contract).
+    Pricing runs serially, net by net. The subproblems are independent
+    and Agrawal et al. price them in parallel on a many-core host, but a
+    per-solve pool of worker domains never paid here: on a 2-core host
+    paper-size solves ran at 0.40-0.94x of serial speed at widths 2 and 4,
+    with the summed per-net pricing time up 1.4-2.5x, so the fan-out was
+    removed. A sweep parallelises across solves instead.
 
     The primal side starts before the first iteration: a
     {!Optrouter_maze.Maze.route} incumbent (and a clean [?seed]) is the
@@ -71,7 +73,6 @@ type params = {
       (** sub-gradient iterations (default 150); the loop stops earlier
           once the lifted dual bound meets the primal objective *)
   time_limit_s : float option;  (** wall deadline for the whole solve *)
-  jobs : int;  (** per-net pricing worker domains (default 1) *)
   round_every : int;  (** rounding-attempt cadence in iterations *)
 }
 
@@ -80,7 +81,6 @@ val default_params : params
 val make_params :
   ?max_iters:int ->
   ?time_limit_s:float option ->
-  ?jobs:int ->
   ?round_every:int ->
   unit ->
   params
@@ -95,7 +95,7 @@ type iter_stat = {
           (always the cost metric, even under via objectives) *)
   step : float;  (** sub-gradient step size used *)
   mult_norm : float;  (** multiplier 2-norm after the update *)
-  busy_s : float;  (** summed per-net pricing time of the iteration *)
+  busy_s : float;  (** wall time of the iteration's pricing pass *)
 }
 
 type t = {
@@ -114,7 +114,10 @@ type t = {
   gap : float option;
       (** (primal - dual_bound) / primal in objective units, when a
           feasible routing was found (0 for a zero-objective primal) *)
-  busy_s : float;  (** summed per-net pricing work across iterations *)
+  busy_s : float;
+      (** pricing time summed over the iterations; the rest of [wall_s]
+          goes to the reachability check, the maze incumbent, the
+          multiplier updates and rounding *)
   wall_s : float;
   rounding_attempts : int;
   rip_ups : int;  (** nets ripped up across all repair rounds *)
@@ -129,7 +132,7 @@ type t = {
     initial feasible incumbent (an upper bound for the Polyak step and
     the starting [solution]); unlike the exact solver's fast path it
     carries {e no} optimality claim. Deterministic for fixed [params]
-    modulo the wall deadline: identical results for any [jobs] width. *)
+    modulo the wall deadline. *)
 val solve :
   ?params:params ->
   ?seed:Optrouter_grid.Route.solution ->

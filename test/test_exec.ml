@@ -251,28 +251,36 @@ let entry_t =
   in
   Alcotest.testable pp ( = )
 
+(* fast_config's budget in the decomposition mode. *)
+let lag_config =
+  Optrouter.make_config ~solve_mode:Optrouter.Lagrangian
+    ~milp:(Milp.make_params ~time_limit_s:20.0 ())
+    ()
+
 (* The reference: each clip swept on its own, serially. *)
-let serial_entries () =
+let serial_entries ?(config = fast_config) () =
   List.concat_map
     (fun clip ->
-      Sweep.sweep ~config:fast_config ~tech:Tech.n28_12t ~rules:sweep_rules
-        [ clip ])
+      Sweep.sweep ~config ~tech:Tech.n28_12t ~rules:sweep_rules [ clip ])
     seed_clips
 
 let test_parallel_sweep_deterministic () =
-  let serial = serial_entries () in
-  Alcotest.(check bool) "serial sweep nonempty" true (serial <> []);
   List.iter
-    (fun domains ->
-      Pool.with_pool ~domains (fun pool ->
-          let parallel =
-            Sweep.sweep ~config:fast_config ~pool ~tech:Tech.n28_12t
-              ~rules:sweep_rules seed_clips
-          in
-          Alcotest.(check (list entry_t))
-            (Printf.sprintf "identical at %d domains" domains)
-            serial parallel))
-    [ 2; 4 ]
+    (fun (mode, config) ->
+      let serial = serial_entries ~config () in
+      Alcotest.(check bool) (mode ^ " serial sweep nonempty") true (serial <> []);
+      List.iter
+        (fun domains ->
+          Pool.with_pool ~domains (fun pool ->
+              let parallel =
+                Sweep.sweep ~config ~pool ~tech:Tech.n28_12t ~rules:sweep_rules
+                  seed_clips
+              in
+              Alcotest.(check (list entry_t))
+                (Printf.sprintf "%s identical at %d domains" mode domains)
+                serial parallel))
+        [ 2; 4 ])
+    [ ("exact", fast_config); ("lagrangian", lag_config) ]
 
 let test_sweep_solver_jobs_identity () =
   (* Two-level scheduling must not change entries: a sweep whose solves

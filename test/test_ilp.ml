@@ -287,6 +287,34 @@ let test_simplex_warm_start_changed_bounds () =
   check_float "objective" (-1.0) r2.objective;
   check_float "x fixed" 0.0 r2.x.(0)
 
+(* A long step whose flips pay off the leaving row exactly. Fixing x0 at 1
+   drives the slack of x0 + 0.1 x1 + 0.2 x2 <= 1 to about -0.3; flipping x2
+   and then x1 down pays 0.2 + 0.1 of it, and round-off leaves ~1e-16
+   unpaid. Passing x1's group as well would leave no candidate, and the
+   refused "ray" (the row does reach its bound) would restart the solve
+   cold; the walk must instead enter x1 and keep the basis. *)
+let test_simplex_warm_exact_payoff () =
+  let lp =
+    build
+      [ cont "x0" 0.0 1.0 1.0; cont "x1" 0.0 1.0 (-1.0); cont "x2" 0.0 1.0 (-1.0) ]
+      [ ("row", [ (0, 1.0); (1, 0.1); (2, 0.2) ], Lp.Le, 1.0) ]
+  in
+  let inst = Simplex.Instance.create lp in
+  let r1 = Simplex.Instance.solve inst in
+  check_float "x1, x2 at their upper bounds" (-2.0) r1.objective;
+  let r2 =
+    Simplex.Instance.solve
+      ~params:(Simplex.make_params ~basis:r1.basis ~lower:[| 1.0; 0.0; 0.0 |] ())
+      inst
+  in
+  Alcotest.(check bool) "optimal" true (r2.status = Simplex.Optimal);
+  check_float "objective" 1.0 r2.objective;
+  Alcotest.(check bool)
+    "basis kept" true
+    (match r2.warm with
+    | `Reused | `Repaired -> true
+    | `Cold | `Abandoned -> false)
+
 let test_simplex_ge_rows () =
   (* Classic diet-style LP. min 2x + 3y s.t. x + y >= 4, x + 3y >= 6. *)
   let lp =
@@ -1276,12 +1304,12 @@ let test_warm_root_pins () =
         (label ^ " objective") objective
         (Printf.sprintf "%h" res.Simplex.objective))
     [
-      (2, Simplex.Optimal, 58, 6, "reused", "0x1.1cp+5");
+      (2, Simplex.Optimal, 55, 5, "reused", "0x1.1cp+5");
       (3, Simplex.Optimal, 42, 4, "reused", "0x1.1cp+5");
       (4, Simplex.Optimal, 4, 0, "reused", "0x1.18p+5");
       (6, Simplex.Infeasible, 10, 0, "reused", "0x1.1cp+5");
       (12, Simplex.Optimal, 15, 0, "reused", "0x1.18p+5");
-      (13, Simplex.Optimal, 70, 6, "reused", "0x1.1cp+5");
+      (13, Simplex.Optimal, 64, 1, "reused", "0x1.1cp+5");
     ]
 
 let test_simplex_bound_flip () =
@@ -1414,6 +1442,8 @@ let () =
             `Quick test_simplex_warm_start_abandoned;
           Alcotest.test_case "warm start with changed bounds" `Quick
             test_simplex_warm_start_changed_bounds;
+          Alcotest.test_case "warm long step with an exact payoff" `Quick
+            test_simplex_warm_exact_payoff;
           Alcotest.test_case ">= rows" `Quick test_simplex_ge_rows;
           Alcotest.test_case "fixed variable" `Quick test_simplex_fixed_variable;
           Alcotest.test_case "empty LP" `Quick test_simplex_empty_lp;

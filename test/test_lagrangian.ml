@@ -1,6 +1,6 @@
 (* Tests for the Lagrangian decomposition solve mode: dual-bound
-   soundness against the exact ILP, DRC-certified rounding, width
-   determinism and the solve-mode plumbing through the driver. *)
+   soundness against the exact ILP, DRC-certified rounding, golden
+   traces and the solve-mode plumbing through [Optrouter]. *)
 
 module Clip = Optrouter_grid.Clip
 module Graph = Optrouter_grid.Graph
@@ -79,53 +79,6 @@ let test_bundled_gap () =
         Alcotest.(check bool)
           (clip.Clip.c_name ^ " within 2% of the ILP optimum")
           true (true_gap <= 0.02))
-    (bundled_clips ())
-
-(* ------------------------------------------------------------------ *)
-(* Width determinism: -j 1/2/4 round to byte-identical routings         *)
-(* ------------------------------------------------------------------ *)
-
-let solution_bytes (sol : Route.solution) =
-  String.concat "|"
-    (Array.to_list
-       (Array.map
-          (fun (r : Route.net_route) ->
-            Printf.sprintf "%d:%s" r.Route.net
-              (String.concat ","
-                 (List.map string_of_int (List.sort Int.compare r.Route.edges))))
-          sol.Route.routes))
-
-let test_width_determinism () =
-  List.iter
-    (fun clip ->
-      let rules = rule 1 in
-      let g = Graph.build ~tech ~rules clip in
-      let solve jobs =
-        Lagrangian.solve ~params:(Lagrangian.make_params ~jobs ()) ~rules g
-      in
-      let r1 = solve 1 and r2 = solve 2 and r4 = solve 4 in
-      let bytes label (r : Lagrangian.t) =
-        match r.Lagrangian.solution with
-        | Some sol ->
-          Alcotest.(check (list Alcotest.reject))
-            (label ^ " DRC-clean") []
-            (Drc.check ~rules g sol);
-          solution_bytes sol
-        | None -> Alcotest.failf "%s: no rounded routing" label
-      in
-      let b1 = bytes "-j1" r1 in
-      Alcotest.(check string)
-        (clip.Clip.c_name ^ ": -j2 identical to -j1")
-        b1 (bytes "-j2" r2);
-      Alcotest.(check string)
-        (clip.Clip.c_name ^ ": -j4 identical to -j1")
-        b1 (bytes "-j4" r4);
-      Alcotest.(check (float 1e-9))
-        (clip.Clip.c_name ^ ": dual bound width-independent")
-        r1.Lagrangian.dual_bound r4.Lagrangian.dual_bound;
-      Alcotest.(check int)
-        (clip.Clip.c_name ^ ": iteration count width-independent")
-        r1.Lagrangian.iterations r4.Lagrangian.iterations)
     (bundled_clips ())
 
 (* ------------------------------------------------------------------ *)
@@ -208,7 +161,7 @@ let test_golden_traces () =
       (bundled_clips () @ [ q230 ])
   in
   Alcotest.(check (list (pair string string)))
-    "RULE1 width-1 trace digests" golden_digests digests
+    "RULE1 trace digests" golden_digests digests
 
 (* ------------------------------------------------------------------ *)
 (* Rounding pins: the maze-style repair that turns prices into routes   *)
@@ -258,6 +211,16 @@ endclip
 
 let cost_of_solution =
   Option.map (fun (sol : Route.solution) -> sol.Route.metrics.cost)
+
+let solution_bytes (sol : Route.solution) =
+  String.concat "|"
+    (Array.to_list
+       (Array.map
+          (fun (r : Route.net_route) ->
+            Printf.sprintf "%d:%s" r.Route.net
+              (String.concat ","
+                 (List.map string_of_int (List.sort Int.compare r.Route.edges))))
+          sol.Route.routes))
 
 let test_rounding_beats_maze () =
   let clip = clip_of_string q223 in
@@ -339,7 +302,7 @@ let test_near_optimal_verdict () =
     Alcotest.fail "lagrangian mode must answer Near_optimal here"
 
 (* No branch and bound runs in this mode, so the B&B fields stay zero
-   even on a 2-wide solve; the pricing pool's width and times are
+   even when the config asks for a 2-wide search; pricing time is
    reported once, under [lagrangian]. *)
 let test_pricing_reported_once () =
   let config =
@@ -530,8 +493,6 @@ let () =
       ( "bundled",
         [
           Alcotest.test_case "gap <= 2% vs ILP optimum" `Quick test_bundled_gap;
-          Alcotest.test_case "widths 1/2/4 byte-identical" `Quick
-            test_width_determinism;
           Alcotest.test_case "golden traces" `Quick test_golden_traces;
         ] );
       ( "rounding",
