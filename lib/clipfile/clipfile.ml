@@ -1,33 +1,65 @@
 module Clip = Optrouter_grid.Clip
 module Rect = Optrouter_geom.Rect
 
-let pp ppf (c : Clip.t) =
-  Format.fprintf ppf "clip %s@." c.Clip.c_name;
-  Format.fprintf ppf "tech %s@." c.Clip.tech_name;
-  Format.fprintf ppf "size %d %d %d@." c.Clip.cols c.Clip.rows c.Clip.layers;
+let to_string (c : Clip.t) =
+  let b = Buffer.create 256 in
+  let str = Buffer.add_string b and chr = Buffer.add_char b in
+  let int i = str (string_of_int i) in
+  str "clip ";
+  str c.Clip.c_name;
+  str "\ntech ";
+  str c.Clip.tech_name;
+  str "\nsize ";
+  int c.Clip.cols;
+  chr ' ';
+  int c.Clip.rows;
+  chr ' ';
+  int c.Clip.layers;
+  chr '\n';
   List.iter
-    (fun (x, y, z) -> Format.fprintf ppf "obs %d %d %d@." x y z)
+    (fun (x, y, z) ->
+      str "obs ";
+      int x;
+      chr ' ';
+      int y;
+      chr ' ';
+      int z;
+      chr '\n')
     c.Clip.obstructions;
   List.iter
     (fun (net : Clip.net) ->
-      Format.fprintf ppf "net %s@." net.Clip.n_name;
+      str "net ";
+      str net.Clip.n_name;
+      chr '\n';
       List.iter
         (fun (pin : Clip.pin) ->
-          Format.fprintf ppf "pin %s" pin.Clip.p_name;
+          str "pin ";
+          str pin.Clip.p_name;
           (match pin.Clip.shape with
           | Some r ->
-            Format.fprintf ppf " shape %d %d %d %d" r.Rect.xlo r.Rect.ylo
-              r.Rect.xhi r.Rect.yhi
+            str " shape";
+            List.iter
+              (fun v ->
+                chr ' ';
+                int v)
+              [ r.Rect.xlo; r.Rect.ylo; r.Rect.xhi; r.Rect.yhi ]
           | None -> ());
-          Format.fprintf ppf " access";
-          List.iter (fun (x, y) -> Format.fprintf ppf " %d,%d" x y) pin.Clip.access;
-          Format.fprintf ppf "@.")
+          str " access";
+          List.iter
+            (fun (x, y) ->
+              chr ' ';
+              int x;
+              chr ',';
+              int y)
+            pin.Clip.access;
+          chr '\n')
         net.Clip.pins;
-      Format.fprintf ppf "endnet@.")
+      str "endnet\n")
     c.Clip.nets;
-  Format.fprintf ppf "endclip@."
+  str "endclip\n";
+  Buffer.contents b
 
-let to_string c = Format.asprintf "%a" pp c
+let pp ppf c = Format.pp_print_string ppf (to_string c)
 
 type parse_state = {
   mutable name : string;

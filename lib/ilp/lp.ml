@@ -104,24 +104,43 @@ module Builder = struct
     add_var b ~name ~lower:0.0 ~upper:1.0 ~obj Integer
 
   (* Sum duplicate indices and drop exact zeros, so downstream solvers can
-     rely on clean sparse rows. *)
+     rely on clean sparse rows. A stable sort by index keeps each index's
+     terms in list order, and each index sums them from 0.0. *)
   let normalize_coeffs nv name coeffs =
-    let tbl = Hashtbl.create (List.length coeffs) in
-    List.iter
-      (fun (j, a) ->
+    let a = Array.of_list coeffs in
+    Array.iter
+      (fun (j, _) ->
         if j < 0 || j >= nv then
           invalid_arg
             (Printf.sprintf "Lp.Builder.add_row %s: variable index %d out of range"
-               name j);
-        let prev = Option.value (Hashtbl.find_opt tbl j) ~default:0.0 in
-        Hashtbl.replace tbl j (prev +. a))
-      coeffs;
-    let entries =
-      Hashtbl.fold (fun j a acc -> if a = 0.0 then acc else (j, a) :: acc) tbl []
-    in
-    let arr = Array.of_list entries in
-    Array.sort (fun (j1, _) (j2, _) -> Int.compare j1 j2) arr;
-    arr
+               name j))
+      a;
+    let len = Array.length a in
+    if len <= 16 then
+      for i = 1 to len - 1 do
+        let ((j, _) as x) = a.(i) in
+        let k = ref (i - 1) in
+        while !k >= 0 && fst a.(!k) > j do
+          a.(!k + 1) <- a.(!k);
+          decr k
+        done;
+        a.(!k + 1) <- x
+      done
+    else Array.stable_sort (fun (j1, _) (j2, _) -> Int.compare j1 j2) a;
+    let out = ref 0 and i = ref 0 in
+    while !i < len do
+      let j = fst a.(!i) in
+      let sum = ref 0.0 in
+      while !i < len && fst a.(!i) = j do
+        sum := !sum +. snd a.(!i);
+        incr i
+      done;
+      if !sum <> 0.0 then begin
+        a.(!out) <- (j, !sum);
+        incr out
+      end
+    done;
+    if !out = len then a else Array.sub a 0 !out
 
   let add_row b ~name coeffs sense rhs =
     let coeffs = normalize_coeffs b.nv name coeffs in

@@ -88,8 +88,12 @@ module Instance = struct
     base_up : float array;
     cost : float array;
     rhs : float array;
-    every_row : int array;
-        (** [0 .. m-1]: the row list per-pivot eta pushes walk *)
+    rstart : int array;
+        (** row-wise copy of the matrix: row [i]'s entries are
+            [rstart.(i) .. rstart.(i+1) - 1] of [rcol]/[rval], in the row's
+            coefficient order with the row's slack last *)
+    rcol : int array;
+    rval : float array;
   }
 
   let nvars t = t.n
@@ -144,8 +148,37 @@ module Instance = struct
         base_up.(n + r) <- up)
       lp.rows;
     let rhs = Array.map (fun (r : Lp.row) -> r.rhs) lp.rows in
-    let every_row = Array.init m Fun.id in
-    { lp; n; m; ncols; cidx; cval; base_lo; base_up; cost; rhs; every_row }
+    let rstart = Array.make (m + 1) 0 in
+    Array.iteri
+      (fun r (row : Lp.row) ->
+        rstart.(r + 1) <- rstart.(r) + Array.length row.coeffs + 1)
+      lp.rows;
+    let rcol = Array.make rstart.(m) 0 and rval = Array.make rstart.(m) 0.0 in
+    Array.iteri
+      (fun r (row : Lp.row) ->
+        Array.iteri
+          (fun k (j, a) ->
+            rcol.(rstart.(r) + k) <- j;
+            rval.(rstart.(r) + k) <- a)
+          row.coeffs;
+        rcol.(rstart.(r + 1) - 1) <- n + r;
+        rval.(rstart.(r + 1) - 1) <- 1.0)
+      lp.rows;
+    {
+      lp;
+      n;
+      m;
+      ncols;
+      cidx;
+      cval;
+      base_lo;
+      base_up;
+      cost;
+      rhs;
+      rstart;
+      rcol;
+      rval;
+    }
 
   type st = {
     inst : t;
@@ -159,8 +192,16 @@ module Instance = struct
     w : float array;
     y : float array;
     pat : int array;
-        (** rows a refactorisation placement has touched in [w] *)
+        (** [pat.(0 .. np-1)]: the FTRAN pattern of the column in [w], in
+            ascending row order; [w] is zero on every other row *)
     mark : Bytes.t;  (** ['\001'] exactly on the rows listed in [pat] *)
+    mutable np : int;
+    ptmp : int array;  (** [sort_pattern]'s buffer, one entry per row *)
+    pcount : int array;  (** its bucket counts, [2^pdigit + 1] of them *)
+    pdigit : int;  (** bits per radix pass: 2 passes cover a row index *)
+    mutable nviol : int;
+        (** basics outside a bound by more than [feas_tol]; the primal loop
+            is in phase 1 exactly while this is positive *)
     (* Eta file of the product-form inverse, stored as a flat pool of
        unboxed arrays rather than an array of per-eta records: eta [k]
        pivots on row [e_rows.(k)] with diagonal [e_pivs.(k)] (already
@@ -199,15 +240,13 @@ module Instance = struct
   }
 
   (* Build and push the eta for a pivot on row [r] of the FTRANned column
-     held in [st.w], whose nonzeros all lie on the ascending row list
-     [rows.(0 .. nrows-1)]: every row for a per-pivot push, the placement
-     pattern for refactorisation. The off-pivot entries are stored in list
-     order, so both callers produce the same eta for the same column.
-     Identity columns (pivot 1, no off-pivot entries) produce no eta at
-     all. Any eta push is a basis change, so the cached phase-2 duals are
-     invalidated here. *)
-  let push_eta st rows nrows r =
-    let w = st.w in
+     held in [st.w]. Its nonzeros all lie on the pattern [st.pat], whose
+     ascending row order is the order a dense scan of [w] would store the
+     off-pivot entries in. Identity columns (pivot 1, no off-pivot entries)
+     produce no eta at all. Any eta push is a basis change, so the cached
+     phase-2 duals are invalidated here. *)
+  let push_eta st r =
+    let w = st.w and rows = st.pat and nrows = st.np in
     let piv = w.(r) in
     let off = st.e_start.(st.neta) in
     if off + nrows > Array.length st.e_idx then begin
@@ -331,12 +370,27 @@ module Instance = struct
       else if st.up.(j) < infinity then st.vstat.(j) <- At_upper
       else st.vstat.(j) <- Nb_free
 
-  let scatter_column st j v =
-    Array.fill v 0 st.inst.m 0.0;
-    let idx = st.inst.cidx.(j) and vl = st.inst.cval.(j) in
-    for p = 0 to Array.length idx - 1 do
-      v.(idx.(p)) <- vl.(p)
-    done
+  (* A basic variable outside a bound by more than [feas_tol]: exactly the
+     basics with a nonzero phase-1 cost. *)
+  let violated st pos =
+    let j = st.basic.(pos) and x = st.xb.(pos) in
+    x < st.lo.(j) -. feas_tol || x > st.up.(j) +. feas_tol
+
+  let recount st =
+    let c = ref 0 in
+    for pos = 0 to st.inst.m - 1 do
+      if violated st pos then incr c
+    done;
+    st.nviol <- !c
+
+  (* [xb.(pos) -= d], keeping [nviol] current *)
+  let move_basic st pos d =
+    let j = st.basic.(pos) and x = st.xb.(pos) in
+    let lo = st.lo.(j) -. feas_tol and up = st.up.(j) +. feas_tol in
+    let x' = x -. d in
+    st.xb.(pos) <- x';
+    let was = x < lo || x > up and now = x' < lo || x' > up in
+    if was <> now then st.nviol <- (if now then st.nviol + 1 else st.nviol - 1)
 
   let compute_xb st =
     let m = st.inst.m in
@@ -354,12 +408,79 @@ module Instance = struct
       end
     done;
     ftran st r;
-    Array.blit r 0 st.xb 0 m
+    Array.blit r 0 st.xb 0 m;
+    recount st
 
-  (* Sort [a.(0 .. len-1)] ascending in place. Most placement patterns
-     are a few rows long, where insertion sort is cheapest; the rare long
-     ones (thousands of rows on dense bases) take the library sort. *)
-  let sort_prefix a len =
+  (* the least [b] with [2^b >= n] *)
+  let bits n =
+    let b = ref 0 in
+    while 1 lsl !b < n do
+      incr b
+    done;
+    !b
+
+  (* Sort [a.(0 .. len-1)] ascending by the key [a.(i) lsr shift], making
+     exactly the comparisons of the standard library's [Array.sort] (a
+     ternary heap sort) but with no closure call per comparison. Elements
+     of equal key therefore end in the order [Array.sort] leaves them in. *)
+  let heap_sort a len shift =
+    let key i = Array.unsafe_get a i lsr shift in
+    (* the largest child of [i] in a heap of size [l], or -1 for a leaf *)
+    let maxson l i =
+      let i31 = i + i + i + 1 in
+      if i31 + 2 < l then begin
+        let x = if key i31 < key (i31 + 1) then i31 + 1 else i31 in
+        if key x < key (i31 + 2) then i31 + 2 else x
+      end
+      else if i31 + 1 < l && key i31 < key (i31 + 1) then i31 + 1
+      else if i31 < l then i31
+      else -1
+    in
+    let rec trickle l i e =
+      let j = maxson l i in
+      if j >= 0 && key j > e lsr shift then begin
+        a.(i) <- a.(j);
+        trickle l j e
+      end
+      else a.(i) <- e
+    in
+    let rec bubble l i =
+      let j = maxson l i in
+      if j < 0 then i
+      else begin
+        a.(i) <- a.(j);
+        bubble l j
+      end
+    in
+    let rec trickleup i e =
+      let father = (i - 1) / 3 in
+      if key father < e lsr shift then begin
+        a.(i) <- a.(father);
+        if father > 0 then trickleup father e else a.(0) <- e
+      end
+      else a.(i) <- e
+    in
+    for i = ((len + 1) / 3) - 1 downto 0 do
+      trickle len i a.(i)
+    done;
+    for i = len - 1 downto 2 do
+      let e = a.(i) in
+      a.(i) <- a.(0);
+      trickleup (bubble i 0) e
+    done;
+    if len > 1 then begin
+      let e = a.(1) in
+      a.(1) <- a.(0);
+      a.(0) <- e
+    end
+
+  (* Sort the distinct rows [pat.(0 .. len-1)] ascending. Most FTRAN
+     patterns are a few rows long, where insertion sort is cheapest. A
+     longer one takes an LSD radix sort: two counting passes through
+     [ptmp], each over half the bits of a row index, at a cost linear in
+     its length whatever m is. *)
+  let sort_pattern st len =
+    let a = st.pat in
     if len <= 32 then
       for i = 1 to len - 1 do
         let x = a.(i) in
@@ -371,36 +492,80 @@ module Instance = struct
         a.(!k + 1) <- x
       done
     else begin
-      let s = Array.sub a 0 len in
-      Array.sort Int.compare s;
-      Array.blit s 0 a 0 len
+      let count = st.pcount in
+      let mask = Array.length count - 2 in
+      let pass src dst shift =
+        Array.fill count 0 (mask + 2) 0;
+        for k = 0 to len - 1 do
+          let c = ((Array.unsafe_get src k lsr shift) land mask) + 1 in
+          Array.unsafe_set count c (Array.unsafe_get count c + 1)
+        done;
+        for c = 1 to mask + 1 do
+          count.(c) <- count.(c) + count.(c - 1)
+        done;
+        for k = 0 to len - 1 do
+          let x = Array.unsafe_get src k in
+          let c = (x lsr shift) land mask in
+          let p = Array.unsafe_get count c in
+          Array.unsafe_set dst p x;
+          Array.unsafe_set count c (p + 1)
+        done
+      in
+      pass a st.ptmp 0;
+      pass st.ptmp a st.pdigit
     end
+
+  (* Load column [j] into [w] and FTRAN it, leaving its nonzero pattern in
+     [pat.(0 .. np-1)] in ascending row order. The previous pattern is
+     cleared first, so [w] stays zero outside the current one. Every pass
+     over the column then walks the pattern in the row order of a dense
+     scan of [w], which skips only rows where [w] is zero. *)
+  let ftran_column st j =
+    let w = st.w and pat = st.pat and mark = st.mark in
+    for k = 0 to st.np - 1 do
+      let i = pat.(k) in
+      w.(i) <- 0.0;
+      Bytes.set mark i '\000'
+    done;
+    let idx = st.inst.cidx.(j) and vl = st.inst.cval.(j) in
+    let np = ref 0 in
+    for p = 0 to Array.length idx - 1 do
+      let i = idx.(p) in
+      w.(i) <- vl.(p);
+      (* a repeated row keeps its last value, as a dense scatter does *)
+      if Bytes.get mark i = '\000' then begin
+        Bytes.set mark i '\001';
+        pat.(!np) <- i;
+        incr np
+      end
+    done;
+    let np = ftran_pattern st !np in
+    sort_pattern st np;
+    st.np <- np
 
   (* Rebuild the eta file from the current basis columns, repairing a
      singular basis by substituting logical slacks. Columns are processed
-     sparsest-first (a poor man's Markowitz ordering). Placing a column
-     costs its FTRAN's nonzeros, not O(m): [w] is cleared once and kept
-     zero between placements, and [pat] lists the rows each placement
-     touches. A slack whose row is still unassigned takes that row
-     directly: no eta pivots on an unassigned row, so its FTRAN is its own
-     unit column and it pushes no eta. Any other column is scattered and
-     FTRANned with its pattern recorded; the pivot search (first strict
-     maximum over unassigned rows) and the eta push then walk the pattern
-     in ascending row order, exactly as a dense scan of [w] would, so the
+     sparsest-first (a poor man's Markowitz ordering), in the order
+     [Array.sort] gives columns of equal length. Placing a column costs its
+     FTRAN's nonzeros, not O(m). A slack whose row is still unassigned
+     takes that row directly: no eta pivots on an unassigned row, so its
+     FTRAN is its own unit column and it pushes no eta. Any other column
+     goes through [ftran_column]; the pivot search (first strict maximum
+     over unassigned rows) and the eta push then walk its pattern, so the
      eta file is bit-identical to one built by dense passes. *)
   let refactor st =
     let n = st.inst.n and m = st.inst.m in
     st.neta <- 0;
     st.eta_nnz_count <- 0;
     let assigned = Array.make m false in
-    let old_cols = Array.copy st.basic in
-    Array.sort
-      (fun j1 j2 ->
-        Int.compare (Array.length st.inst.cidx.(j1)) (Array.length st.inst.cidx.(j2)))
-      old_cols;
+    (* each basic column packed under its length, the sort key *)
+    let shift = bits st.inst.ncols in
+    let old_cols =
+      Array.map (fun j -> (Array.length st.inst.cidx.(j) lsl shift) lor j) st.basic
+    in
+    heap_sort old_cols m shift;
+    Array.iteri (fun k c -> old_cols.(k) <- c land ((1 lsl shift) - 1)) old_cols;
     let dropped = ref [] in
-    let w = st.w and pat = st.pat and mark = st.mark in
-    Array.fill w 0 m 0.0;
     let assign j r =
       assigned.(r) <- true;
       st.basic.(r) <- j;
@@ -410,22 +575,10 @@ module Instance = struct
     let place j =
       if j >= n && not assigned.(j - n) then assign j (j - n)
       else begin
-        let idx = st.inst.cidx.(j) and vl = st.inst.cval.(j) in
-        let np = ref 0 in
-        for p = 0 to Array.length idx - 1 do
-          let i = idx.(p) in
-          w.(i) <- vl.(p);
-          (* a repeated row keeps its last value, as a dense scatter does *)
-          if Bytes.get mark i = '\000' then begin
-            Bytes.set mark i '\001';
-            pat.(!np) <- i;
-            incr np
-          end
-        done;
-        let np = ftran_pattern st !np in
-        sort_prefix pat np;
+        ftran_column st j;
+        let w = st.w and pat = st.pat in
         let best = ref (-1) and best_mag = ref 0.0 in
-        for k = 0 to np - 1 do
+        for k = 0 to st.np - 1 do
           let r = pat.(k) in
           if not assigned.(r) then begin
             let mag = Float.abs w.(r) in
@@ -438,13 +591,8 @@ module Instance = struct
         if !best < 0 || !best_mag < pivot_tol then dropped := j :: !dropped
         else begin
           assign j !best;
-          push_eta st pat np !best
-        end;
-        for k = 0 to np - 1 do
-          let i = pat.(k) in
-          w.(i) <- 0.0;
-          Bytes.set mark i '\000'
-        done
+          push_eta st !best
+        end
       end
     in
     Array.iter (fun j -> st.vpos.(j) <- -1) old_cols;
@@ -597,16 +745,6 @@ module Instance = struct
     else if x > st.up.(j) +. feas_tol then 1.0
     else 0.0
 
-  let infeasibility st =
-    let total = ref 0.0 in
-    for pos = 0 to st.inst.m - 1 do
-      let j = st.basic.(pos) in
-      let x = st.xb.(pos) in
-      if x < st.lo.(j) -. feas_tol then total := !total +. (st.lo.(j) -. x)
-      else if x > st.up.(j) +. feas_tol then total := !total +. (x -. st.up.(j))
-    done;
-    !total
-
   let compute_duals st ~phase1 =
     let m = st.inst.m in
     for pos = 0 to m - 1 do
@@ -726,8 +864,7 @@ module Instance = struct
      which requires the least variable index in the leaving choice too, or
      its anti-cycling guarantee does not hold. *)
   let ratio_test st ~phase1 (e : entering) =
-    scatter_column st e.q st.w;
-    ftran st st.w;
+    ftran_column st e.q;
     let range = st.up.(e.q) -. st.lo.(e.q) in
     let limit = ref (if range < infinity then Flip range else Unlimited) in
     let limit_t = ref (match !limit with Flip t -> t | Unlimited | Block _ -> infinity) in
@@ -736,7 +873,8 @@ module Instance = struct
     (* Entries below the pivot tolerance cannot safely leave the basis;
        skipping them bounds the induced infeasibility by t * |w_i|, well
        inside the feasibility tolerance. *)
-    for pos = 0 to st.inst.m - 1 do
+    for k = 0 to st.np - 1 do
+      let pos = st.pat.(k) in
       let wi = st.w.(pos) in
       if Float.abs wi > pivot_tol /. 10.0 then begin
         let rate = -.e.dir *. wi in
@@ -779,9 +917,10 @@ module Instance = struct
     | Unlimited -> assert false
     | Flip t ->
       let delta = e.dir *. t in
-      for pos = 0 to st.inst.m - 1 do
+      for k = 0 to st.np - 1 do
+        let pos = st.pat.(k) in
         let wi = st.w.(pos) in
-        if wi <> 0.0 then st.xb.(pos) <- st.xb.(pos) -. (wi *. delta)
+        if wi <> 0.0 then move_basic st pos (wi *. delta)
       done;
       st.vstat.(e.q) <-
         (match st.vstat.(e.q) with
@@ -794,10 +933,12 @@ module Instance = struct
     | Block (r, t, leave_bound) ->
       let delta = e.dir *. t in
       let entering_value = nb_value st e.q +. delta in
-      for pos = 0 to st.inst.m - 1 do
+      for k = 0 to st.np - 1 do
+        let pos = st.pat.(k) in
         let wi = st.w.(pos) in
-        if wi <> 0.0 && pos <> r then st.xb.(pos) <- st.xb.(pos) -. (wi *. delta)
+        if wi <> 0.0 && pos <> r then move_basic st pos (wi *. delta)
       done;
+      if violated st r then st.nviol <- st.nviol - 1;
       let leaving = st.basic.(r) in
       st.vstat.(leaving) <- leave_bound;
       st.vpos.(leaving) <- -1;
@@ -816,11 +957,12 @@ module Instance = struct
       let wl = Float.max 1.0 (Float.max 1.0 st.dw.(e.q) /. (piv *. piv)) in
       if wl > 1e10 then Array.fill st.dw 0 (Array.length st.dw) 1.0
       else st.dw.(leaving) <- wl;
-      push_eta st st.inst.every_row st.inst.m r;
+      push_eta st r;
       st.vstat.(e.q) <- Basic;
       st.vpos.(e.q) <- r;
       st.basic.(r) <- e.q;
       st.xb.(r) <- entering_value;
+      if violated st r then st.nviol <- st.nviol + 1;
       st.pivots_since_refactor <- st.pivots_since_refactor + 1;
       t
 
@@ -930,6 +1072,10 @@ module Instance = struct
       done;
       st.perturbed <- true;
       let rho = Array.make m 0.0 and v = Array.make m 0.0 in
+      (* rho's nonzero rows, and the pivot row rho^T A on the columns they
+         touch (marked in [cmark]) *)
+      let rnz = Array.make m 0 and prow = Array.make ncols 0.0 in
+      let cmark = Bytes.make ncols '\000' in
       (* ratio-test candidates: column, breakpoint, alpha, reduced cost *)
       let cj = Array.make ncols 0 and ct = Array.make ncols 0.0 in
       let ca = Array.make ncols 0.0 and cd = Array.make ncols 0.0 in
@@ -966,17 +1112,46 @@ module Instance = struct
             (* st.y is already current (incremental update below), saving
                the from-scratch BTRAN the pivot loop used to do here *)
             st.btran_saved <- st.btran_saved + 1;
+            (* The pivot row, row by row over rho's nonzeros in ascending
+               row order: each column sums the nonzero terms of its
+               column-wise dot product in the same order, and a zero term
+               could only change the sign of a zero sum. *)
+            let nr = ref 0 in
+            for i = 0 to m - 1 do
+              if rho.(i) <> 0.0 then begin
+                rnz.(!nr) <- i;
+                incr nr
+              end
+            done;
+            (* the touched columns are listed in [cj], which the candidates
+               below then overwrite from the front *)
+            let nr = !nr and nt = ref 0 in
+            let rstart = st.inst.rstart and rcol = st.inst.rcol in
+            let rval = st.inst.rval in
+            for a = 0 to nr - 1 do
+              let i = rnz.(a) in
+              let ri = rho.(i) in
+              for p = rstart.(i) to rstart.(i + 1) - 1 do
+                let j = Array.unsafe_get rcol p in
+                if Bytes.unsafe_get cmark j = '\000' then begin
+                  Bytes.unsafe_set cmark j '\001';
+                  cj.(!nt) <- j;
+                  incr nt
+                end;
+                Array.unsafe_set prow j
+                  (Array.unsafe_get prow j +. (Array.unsafe_get rval p *. ri))
+              done
+            done;
             (* breakpoints of the columns whose admissible movement pushes
-               the leaving value back towards its bound *)
+               the leaving value back towards its bound; the sort below
+               orders them whatever order they are found in *)
             let k = ref 0 in
-            for j = 0 to ncols - 1 do
+            for t = 0 to !nt - 1 do
+              let j = cj.(t) in
+              let alpha = prow.(j) in
+              prow.(j) <- 0.0;
+              Bytes.set cmark j '\000';
               if st.vstat.(j) <> Basic && st.up.(j) -. st.lo.(j) > zero_tol then begin
-                let idx = st.inst.cidx.(j) and vl = st.inst.cval.(j) in
-                let alpha = ref 0.0 in
-                for p = 0 to Array.length idx - 1 do
-                  alpha := !alpha +. (vl.(p) *. rho.(idx.(p)))
-                done;
-                let alpha = !alpha in
                 if Float.abs alpha > pivot_tol then begin
                   let eligible =
                     (* x_B(r) changes by -alpha * dx_j *)
@@ -1071,8 +1246,7 @@ module Instance = struct
                 st.nflips <- st.nflips + !nflip
               end;
               let q = cj.(!enter) in
-              scatter_column st q st.w;
-              ftran st st.w;
+              ftran_column st q;
               let alpha = st.w.(r) in
               let target = if below then st.lo.(jl) else st.up.(jl) in
               let tau = (st.xb.(r) -. target) /. alpha in
@@ -1087,7 +1261,8 @@ module Instance = struct
                 outcome := Some Gave_up
               else begin
                 let entering_value = nb_value st q +. tau in
-                for pos = 0 to m - 1 do
+                for k = 0 to st.np - 1 do
+                  let pos = st.pat.(k) in
                   if pos <> r && st.w.(pos) <> 0.0 then
                     st.xb.(pos) <- st.xb.(pos) -. (st.w.(pos) *. tau)
                 done;
@@ -1098,7 +1273,7 @@ module Instance = struct
                 in
                 if wl > 1e10 then Array.fill st.dw 0 (Array.length st.dw) 1.0
                 else st.dw.(jl) <- wl;
-                push_eta st st.inst.every_row m r;
+                push_eta st r;
                 st.vstat.(q) <- Basic;
                 st.vpos.(q) <- r;
                 st.basic.(r) <- q;
@@ -1108,8 +1283,9 @@ module Instance = struct
                    so y' = y + (d_q / alpha_rq) * rho. Bound flips leave
                    the basis (and hence y) untouched. *)
                 let theta = cd.(!enter) /. alpha in
-                for i = 0 to m - 1 do
-                  if rho.(i) <> 0.0 then st.y.(i) <- st.y.(i) +. (theta *. rho.(i))
+                for a = 0 to nr - 1 do
+                  let i = rnz.(a) in
+                  st.y.(i) <- st.y.(i) +. (theta *. rho.(i))
                 done;
                 if should_refactor st then begin
                   refactor st;
@@ -1166,6 +1342,7 @@ module Instance = struct
       if lo.(j) > up.(j) then
         invalid_arg "Simplex.solve: lower bound exceeds upper bound"
     done;
+    let pdigit = (bits m + 1) / 2 in
     let st =
       {
         inst;
@@ -1180,6 +1357,11 @@ module Instance = struct
         y = Array.make m 0.0;
         pat = Array.make m 0;
         mark = Bytes.make m '\000';
+        np = 0;
+        ptmp = Array.make m 0;
+        pcount = Array.make ((1 lsl pdigit) + 1) 0;
+        pdigit;
+        nviol = 0;
         e_rows = [||];
         e_pivs = [||];
         e_start = [| 0 |];
@@ -1254,7 +1436,7 @@ module Instance = struct
         raise (Numerical_failure "simplex deadline exceeded")
       | Some _ | None -> ());
       st.niter <- st.niter + 1;
-      let phase1 = infeasibility st > feas_tol in
+      let phase1 = st.nviol > 0 in
       if st.niter mod 1000 = 0 then
         Log.debug ~src:"simplex" (fun () ->
             let obj = ref 0.0 in
@@ -1266,10 +1448,10 @@ module Instance = struct
                 obj := !obj +. (st.inst.cost.(j) *. nb_value st j)
             done;
             Printf.sprintf
-              "iter=%d phase=%d infeas=%.3g obj=%.6f neta=%d eta_nnz=%d bland=%b degen=%d"
+              "iter=%d phase=%d infeasible=%d obj=%.6f neta=%d eta_nnz=%d bland=%b degen=%d"
               st.niter
               (if phase1 then 1 else 2)
-              (infeasibility st) !obj st.neta (eta_nnz st) st.bland st.degen_count);
+              st.nviol !obj st.neta (eta_nnz st) st.bland st.degen_count);
       match price st ~phase1 with
       | None ->
         if (not phase1) && st.perturbed then begin
@@ -1353,7 +1535,11 @@ module Instance = struct
       st.perturbed <- false;
       extract st Infeasible
     end
-    else loop ()
+    else begin
+      (* the dual's steps leave [nviol] stale *)
+      recount st;
+      loop ()
+    end
 end
 
 let solve ?params lp = Instance.solve ?params (Instance.create lp)

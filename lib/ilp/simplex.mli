@@ -4,15 +4,28 @@
     design: the basis inverse is maintained as a sequence of eta matrices
     (stored as a flat pool of unboxed arrays so the FTRAN/BTRAN kernels
     stream contiguous memory), refactorised periodically from the basis
-    columns for numerical hygiene. Refactorisation places each column at
-    the cost of its FTRAN's nonzeros rather than O(m): a slack on a still
-    unassigned row takes it directly, and every other column's pivot
-    search and eta push walk its FTRAN pattern in ascending row order,
-    which gives the same eta file as a dense scan. Rows are turned into
-    equalities with one (bounded) logical slack per row, so the initial
-    all-slack basis always exists; primal infeasibility of the all-slack
-    basis is driven out by a composite phase-1 objective (piecewise-linear
-    sum of bound violations of basic variables).
+    columns for numerical hygiene. Refactorisation places the columns
+    sparsest first, breaking ties between equal lengths as [Array.sort]
+    does, and places each at the cost of its FTRAN's nonzeros rather than
+    O(m): a slack on a still unassigned row takes it directly.
+
+    Every pass over an FTRANned column touches only its nonzeros and
+    keeps the pivots of dense passes bit for bit. The FTRAN records the
+    column's nonzero pattern and sorts it ascending; a placement's pivot
+    search, the primal ratio test, both methods' step updates and every
+    eta push walk that pattern in the row order of a dense scan, which
+    fixes tie-breaks and each eta's entry order. The dual's pivot row
+    comes from a row-wise copy of the matrix, summed over the nonzeros of
+    [B^-T e_r] in ascending row order, so each column adds the nonzero
+    terms of its column-wise dot product in the same order. The phase
+    test reads a maintained count of basics outside a bound by more than
+    the feasibility tolerance.
+
+    Rows are turned into equalities with one (bounded) logical slack per
+    row, so the initial all-slack basis always exists; primal
+    infeasibility of the all-slack basis is driven out by a composite
+    phase-1 objective (piecewise-linear sum of bound violations of basic
+    variables).
 
     A supplied basis (what {!Milp} passes between branch-and-bound nodes,
     and what {!Basis} carries across structurally different LPs via
@@ -130,9 +143,10 @@ val make_params :
   unit ->
   Params.t
 
-(** A prepared instance caches the column-wise matrix so that repeated
-    solves with different variable bounds (as branch and bound does) avoid
-    re-elaborating the problem. *)
+(** A prepared instance caches the column-wise matrix and a row-wise copy
+    (each row's slack last) so that repeated solves with different
+    variable bounds (as branch and bound does) avoid re-elaborating the
+    problem. *)
 module Instance : sig
   type t
 

@@ -137,6 +137,38 @@ let test_sweep_fast_path_telemetry () =
   Alcotest.(check int) "rule solve contributed zero nodes"
     baseline.Optrouter.stats.Optrouter.nodes t.Sweep.nodes
 
+(* Solver identity pins: the totals of `optrouter sweep --time-limit 30
+   data/samples.clips` (serial, baseline reuse on). Every solve ends well
+   inside its budget, so these count pivots, not time: a solver change
+   that moves any pivot moves them. *)
+let test_samples_sweep_pins () =
+  let path =
+    if Sys.file_exists "../data/samples.clips" then "../data/samples.clips"
+    else "data/samples.clips"
+  in
+  let clips =
+    match Optrouter_clipfile.Clipfile.read_file path with
+    | Ok clips -> clips
+    | Error e -> Alcotest.failf "samples.clips: %s" e
+  in
+  let config =
+    Optrouter.make_config
+      ~milp:(Milp.make_params ~max_nodes:200_000 ~time_limit_s:30.0 ())
+      ()
+  in
+  let telemetry = ref Sweep.empty_telemetry in
+  let entries =
+    Sweep.sweep ~config ~telemetry ~baseline:(Rules.rule 1) ~tech:Tech.n28_12t
+      ~rules:(Experiments.rules_for Tech.n28_12t) clips
+  in
+  let t = !telemetry in
+  Alcotest.(check int) "entries" 39 (List.length entries);
+  Alcotest.(check int) "limits" 0 t.Sweep.limits;
+  Alcotest.(check int) "B&B nodes" 190 t.Sweep.nodes;
+  Alcotest.(check int) "simplex iterations" 14_162 t.Sweep.simplex_iterations;
+  Alcotest.(check int) "root-LP iterations" 2_229 t.Sweep.root_lp_iters;
+  Alcotest.(check int) "bound flips" 16 t.Sweep.bound_flips
+
 let test_baseline_config_default_budget () =
   (* Regression: with no explicit config the baseline must still triple
      the default 60 s budget (an Option.map once dropped it entirely). *)
@@ -675,6 +707,8 @@ let () =
             test_seed_reuse_knob_disables_fast_path;
           Alcotest.test_case "fast-path telemetry" `Quick
             test_sweep_fast_path_telemetry;
+          Alcotest.test_case "samples sweep solver pins" `Quick
+            test_samples_sweep_pins;
           Alcotest.test_case "baseline config default budget" `Quick
             test_baseline_config_default_budget;
           Alcotest.test_case "busy vs wall telemetry" `Quick

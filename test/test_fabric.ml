@@ -505,6 +505,49 @@ let test_clipfile_roundtrip () =
     Alcotest.(check string) "exact round trip" text (Clipfile.to_string c)
   | Ok _ -> Alcotest.fail "expected exactly one clip"
 
+(* The serve cache key hashes this text, so its bytes are pinned. *)
+let test_clipfile_text_pinned () =
+  let clip =
+    Clip.make ~name:"pinned" ~tech_name:"N7-9T"
+      ~obstructions:[ (1, 1, 0); (3, 2, 1) ]
+      ~cols:6 ~rows:5 ~layers:3
+      [
+        {
+          Clip.n_name = "a";
+          pins =
+            [
+              {
+                Clip.p_name = "u1/Y";
+                access = [ (0, 0); (0, 1); (0, 2) ];
+                shape = Some (Rect.make ~xlo:(-20) ~ylo:0 ~xhi:50 ~yhi:250);
+              };
+              { Clip.p_name = "port"; access = [ (5, 4) ]; shape = None };
+            ];
+        };
+        two_pin "b" (2, 0) (2, 3);
+      ]
+  in
+  Alcotest.(check string)
+    "exact text"
+    "clip pinned\n\
+     tech N7-9T\n\
+     size 6 5 3\n\
+     obs 1 1 0\n\
+     obs 3 2 1\n\
+     net a\n\
+     pin u1/Y shape -20 0 50 250 access 0,0 0,1 0,2\n\
+     pin port access 5,4\n\
+     endnet\n\
+     net b\n\
+     pin bs access 2,0\n\
+     pin bt access 2,3\n\
+     endnet\n\
+     endclip\n"
+    (Clipfile.to_string clip);
+  Alcotest.(check string)
+    "pp prints the same text" (Clipfile.to_string clip)
+    (Format.asprintf "%a" Clipfile.pp clip)
+
 let test_clipfile_multiple_clips () =
   let text = Clipfile.to_string sample_clip ^ Clipfile.to_string sample_clip in
   match Clipfile.of_string text with
@@ -871,6 +914,7 @@ let () =
       ( "clipfile",
         [
           Alcotest.test_case "round trip" `Quick test_clipfile_roundtrip;
+          Alcotest.test_case "exact text" `Quick test_clipfile_text_pinned;
           Alcotest.test_case "multiple clips" `Quick test_clipfile_multiple_clips;
           Alcotest.test_case "comments and blanks" `Quick
             test_clipfile_comments_and_blanks;
