@@ -11,10 +11,10 @@
    validate) over N domains; the reported tables and figures are
    byte-identical to a serial run.
 
-   [--solver-jobs N] additionally lets each branch-and-bound search run
-   on up to N worker domains (two-level scheduling: under -j, solves only
-   widen while pool domains are idle). Proved optima are identical; only
-   node counts and times change.
+   [--solver-jobs N] runs each branch-and-bound search on N worker
+   domains when its solves run one at a time (no -j, or a single task);
+   under -j N >= 2 the pooled solves stay 1-wide. Proved optima are
+   identical; only node counts and times change.
 
    [--no-reuse] disables the baseline-reuse layer of the sweep sections:
    every (clip, rule) ILP re-solves from scratch instead of re-checking /
@@ -104,8 +104,8 @@ let bench_params =
   }
 
 (* The domain pool shared by the sweep sections; set up once in [main]
-   from [-j]/[OPTROUTER_JOBS]. [None] means serial. *)
-let pool : Pool.t option ref = ref None
+   from [-j]/[OPTROUTER_JOBS]. *)
+let pool = ref (Pool.create ~domains:1)
 
 (* Baseline reuse in the sweep sections; cleared by [--no-reuse]. *)
 let reuse = ref true
@@ -286,7 +286,7 @@ let fig10_for name tech =
     { bench_params with Experiments.reuse = !reuse; solver_jobs = !solver_jobs }
   in
   let entries =
-    Experiments.fig10 ~params ?pool:!pool ~telemetry tech
+    Experiments.fig10 ~params ~pool:!pool ~telemetry tech
   in
   incr sweep_sections_run;
   sweep_telemetry := Sweep.merge_telemetry !sweep_telemetry !telemetry;
@@ -379,7 +379,7 @@ let section_validate () =
               delta;
             ]
             :: !rows)
-        (Experiments.validate ~params ?pool:!pool tech))
+        (Experiments.validate ~params ~pool:!pool tech))
     Tech.all;
   print_string
     (Report.Table.render
@@ -1108,9 +1108,8 @@ let () =
   jobs_used := jobs;
   solver_jobs := sjobs;
   let requested = match args with [] -> List.map fst sections | _ -> args in
-  if jobs >= 2 then pool := Some (Pool.create ~domains:jobs);
-  let finally () = Option.iter Pool.shutdown !pool in
-  Fun.protect ~finally (fun () ->
+  Pool.with_pool ~domains:jobs (fun p ->
+      pool := p;
       List.iter
         (fun name ->
           match List.assoc_opt name sections with

@@ -191,8 +191,10 @@ let solver_jobs_arg =
         ~doc:
           "Run each branch-and-bound search on $(docv) worker domains. \
            Proved optima are identical to a serial solve; only node counts \
-           and times change. Under sweep $(b,-j), solves only widen while \
-           pool domains are idle (two-level scheduling).")
+           and times change. Under $(b,-j) 2 or more, solves that run side \
+           by side on the pool stay 1-wide; a solve that runs alone (every \
+           solve of a serial run, or the only one of its batch) gets \
+           $(docv).")
 
 let clips_file_arg =
   Arg.(
@@ -865,9 +867,8 @@ let do_serve socket port cache_dir cache_capacity jobs solver_jobs batch queue
   end;
   let config = config_of ~solver_jobs ~time_limit () in
   let params =
-    Serve.make_params ?cache_dir ~cache_capacity ~jobs ~solver_jobs
-      ~batch_size:batch ~queue_capacity:queue ~time_limit_s:time_limit ~config
-      ()
+    Serve.make_params ?cache_dir ~cache_capacity ~jobs ~batch_size:batch
+      ~queue_capacity:queue ~time_limit_s:time_limit ~config ()
   in
   let t = Serve.create params in
   Fun.protect
@@ -922,8 +923,8 @@ let serve_cmd =
       `S Manpage.s_description;
       `P
         "Accepts clip-route requests over a Unix-domain socket and/or a \
-         loopback TCP port, batches them onto the two-level worker-pool \
-         engine, and answers repeated traffic from a content-addressed \
+         loopback TCP port, fans the cache misses of each batch over a \
+         domain pool, and answers repeated traffic from a content-addressed \
          result cache (in-memory LRU plus an optional on-disk tier). \
          Cache-hit answers are byte-identical to a fresh solve; only \
          proven results are cached.";

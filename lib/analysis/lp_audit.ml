@@ -305,7 +305,7 @@ let expected_families ~(rules : Rules.t) ~(options : Formulate.options)
     done;
     !ks
   in
-  let vx_gate = options.Formulate.vertex_exclusivity && nnets > 1 in
+  let vx_gate = nnets > 1 in
   let vx_witness = ref false and vcap_witness = ref false in
   if vx_gate then
     for v = 0 to ngrid - 1 do

@@ -118,21 +118,18 @@ let mutable_creators =
     "Bytes.create"; "Bytes.make"; "Bytes.of_string";
   ]
 
-let par_entry_names =
-  [ "Domain.spawn"; "Pool.map"; "Pool.map_result"; "Pool.run";
-    "Budget.with_width" ]
+let par_entry_names = [ "Domain.spawn"; "Pool.map"; "Pool.map_result" ]
 
 let blocking_names =
   [
     "Unix.read"; "Unix.write"; "Unix.select"; "Unix.accept"; "Unix.connect";
     "Unix.recv"; "Unix.recvfrom"; "Unix.send"; "Unix.sendto"; "Unix.sleep";
     "Unix.sleepf"; "Unix.waitpid"; "Unix.system"; "Unix.openfile";
-    "Domain.join"; "Pool.map"; "Pool.map_result"; "Pool.run";
-    "Budget.with_width"; "Thread.delay"; "Thread.join"; "input_line";
-    "really_input"; "really_input_string"; "input_char"; "input_byte";
-    "input_value"; "open_in"; "open_in_bin"; "open_out"; "open_out_bin";
-    "output_string"; "output_bytes"; "output_value"; "flush"; "close_in";
-    "close_out"; "read_line";
+    "Domain.join"; "Pool.map"; "Pool.map_result"; "Thread.delay";
+    "Thread.join"; "input_line"; "really_input"; "really_input_string";
+    "input_char"; "input_byte"; "input_value"; "open_in"; "open_in_bin";
+    "open_out"; "open_out_bin"; "output_string"; "output_bytes";
+    "output_value"; "flush"; "close_in"; "close_out"; "read_line";
   ]
 
 (* [(name, index of the mutated/read container among the positional

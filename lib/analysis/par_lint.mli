@@ -5,11 +5,10 @@
     mutable values a file creates (refs, [Hashtbl], [Buffer], arrays,
     records with [mutable] fields), (2) tracks which of them are
     captured by closures handed to the parallel entry points used in
-    this codebase ([Domain.spawn], [Pool.map]/[Pool.map_result]/
-    [Pool.run], [Pool.Budget.with_width]), and (3) checks every access
-    against the locking discipline it can see: lexical
-    [Mutex.lock]/[Mutex.unlock] regions, [Mutex.protect] bodies, and —
-    via call-site inlining of same-file functions — lock protection
+    this codebase ([Domain.spawn], [Pool.map]/[Pool.map_result]), and
+    (3) checks every access against the locking discipline it can see:
+    lexical [Mutex.lock]/[Mutex.unlock] regions, [Mutex.protect] bodies,
+    and — via call-site inlining of same-file functions — lock protection
     inherited from the caller (so a heap helper called only under the
     frontier mutex counts as guarded, while the same helper called from
     single-owner driver code is not flagged at all).

@@ -6,14 +6,9 @@ module Layer = Optrouter_tech.Layer
 module Rules = Optrouter_tech.Rules
 module Lp = Optrouter_ilp.Lp
 
-type options = {
-  vertex_exclusivity : bool;
-  sadp_aux_vars : bool;
-  aggregated_flows : bool;
-}
+type options = { sadp_aux_vars : bool; aggregated_flows : bool }
 
-let default_options =
-  { vertex_exclusivity = true; sadp_aux_vars = false; aggregated_flows = false }
+let default_options = { sadp_aux_vars = false; aggregated_flows = false }
 
 type sizes = { vars : int; binaries : int; rows : int; nonzeros : int }
 
@@ -220,7 +215,7 @@ let build ?(options = default_options) ~(rules : Rules.t) (g : Graph.t) =
 
   (* ---- vertex exclusivity (see interface) ---- *)
   let u_arr = Array.make (nnets * ngrid) (-1) in
-  if options.vertex_exclusivity && nnets > 1 then
+  if nnets > 1 then
     for v = 0 to ngrid - 1 do
       if not g.blocked.(v) then begin
         let us = ref [] in

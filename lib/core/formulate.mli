@@ -19,11 +19,12 @@
       takes exactly one color) and per-conflict-pair packing rows
       [dsa_cf_*] (vias within the DSA pitch on the same cut layer cannot
       share one) — the placed-via conflict graph must be k-colorable;
-    - optionally, vertex exclusivity: no two nets may touch the same grid
-      vertex. The paper's constraint set is arc-based; without this
-      addition a via of one net may land on a wire of another, which the
-      independent DRC checker (rightly) rejects. Kept as an option so the
-      exact paper formulation can be studied too.
+    - vertex exclusivity: no two nets may touch the same grid vertex.
+      The paper's constraint set is arc-based; without this addition a
+      via of one net may land on a wire of another, which the
+      independent DRC checker (rightly) rejects, so a routing of the
+      arc-only formulation can fail {!Optrouter.route}'s DRC audit
+      ({!Optrouter.Drc_failure}). Always on.
 
     Two linearisations of the SADP [p] definitions are provided: the
     paper's, with four auxiliary product binaries per (net, vertex, side)
@@ -39,7 +40,6 @@
     the cost-carrying via edges. *)
 
 type options = {
-  vertex_exclusivity : bool;  (** default [true] *)
   sadp_aux_vars : bool;  (** paper-style linearisation (9); default [false] *)
   aggregated_flows : bool;
       (** the paper's single aggregated flow per arc with [e >= f/|T_k|]

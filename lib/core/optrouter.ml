@@ -112,10 +112,11 @@ let make_config ?(options = default_config.options)
    part of the serve cache's key format, versioned there. *)
 let config_fingerprint c =
   let b = Buffer.create 128 in
+  (* Vertex exclusivity is always on; its spelling stays in the key so
+     that existing serve cache entries keep their keys. *)
   Buffer.add_string b
     (Printf.sprintf
-       "options:vertex_exclusivity=%b;sadp_aux_vars=%b;aggregated_flows=%b\n"
-       c.options.Formulate.vertex_exclusivity
+       "options:vertex_exclusivity=true;sadp_aux_vars=%b;aggregated_flows=%b\n"
        c.options.Formulate.sadp_aux_vars c.options.Formulate.aggregated_flows);
   List.iter
     (fun (v : Via_shape.t) ->

@@ -274,10 +274,14 @@ type validation = {
   baseline_cost : int option;
 }
 
-let validate ?(params = default_fig10_params) ?pool tech =
+let validate ?(params = default_fig10_params) ?(pool = Pool.create ~domains:1)
+    tech =
   let clips = difficult_clips ~params tech in
   let rules = Rules.rule 1 in
-  let config = solver_config params in
+  let solver_jobs =
+    Pool.solver_width pool ~tasks:(List.length clips) params.solver_jobs
+  in
+  let config = solver_config { params with solver_jobs } in
   let check clip =
     let g = Graph.build ~tech ~rules clip in
     let opt = Optrouter.route_graph ~config ~rules g in
@@ -291,9 +295,7 @@ let validate ?(params = default_fig10_params) ?pool tech =
           baseline.Maze.solution;
     }
   in
-  match pool with
-  | None -> List.map check clips
-  | Some pool -> Pool.map pool check clips
+  Pool.map pool check clips
 
 (* ------------------------------------------------------------------ *)
 (* Section 5 runtime study                                             *)

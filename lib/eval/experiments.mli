@@ -39,8 +39,8 @@ type fig10_params = {
           identical either way — only solver effort changes. *)
   solver_jobs : int;
       (** branch-and-bound worker domains per ILP solve (default 1).
-          Under a sweep pool this is a {e request}: solves widen only
-          when pool domains are idle (see {!Sweep}). Entries are
+          Solves that run side by side on a pool of two or more domains
+          stay 1-wide ({!Optrouter_exec.Pool.solver_width}). Entries are
           identical either way — proved optima do not depend on it. *)
   solve_mode : Optrouter_core.Optrouter.solve_mode;
       (** [Exact] (default) proves optima with the ILP; [Lagrangian]
@@ -104,7 +104,8 @@ type validation = {
 
 (** Footnote 6: OptRouter vs the heuristic baseline on difficult clips
     under RULE1. OptRouter's Δcost must be <= 0 wherever both route.
-    With [pool], clips are validated on its worker domains. *)
+    With [pool], clips are validated on its worker domains, at the
+    width {!Optrouter_exec.Pool.solver_width} gives them. *)
 val validate :
   ?params:fig10_params ->
   ?pool:Optrouter_exec.Pool.t ->

@@ -275,54 +275,18 @@ let timed telemetry f =
 (* Solving                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Fan tasks over the pool when one is given; otherwise run them in the
-   calling domain. Either way results come back in task order and
-   [on_done] fires once per completed task in the calling domain. Task
-   functions here never raise (solve exceptions are captured as part of
-   the task's value), so the pool's own error slots stay unused. *)
-let fan ?pool ~on_done f xs =
-  match pool with
-  | None ->
-    List.mapi
-      (fun i x ->
-        let y = f x in
-        on_done i y;
-        y)
-      xs
-  | Some pool ->
-    Pool.map pool f xs ~on_done:(fun i r ->
-        match r with Ok y -> on_done i y | Error _ -> ())
-
-let solve_outcome ?config ?seed ?warm_basis ~tech ~rules clip =
-  try Ok (Optrouter.route ?config ?seed ?warm_basis ~tech ~rules clip)
+let solve_outcome ~config ?seed ?warm_basis ~tech ~rules clip =
+  try Ok (Optrouter.route ~config ?seed ?warm_basis ~tech ~rules clip)
   with e -> Error e
 
-(* ------------------------------------------------------------------ *)
-(* Two-level scheduling                                                *)
-(* ------------------------------------------------------------------ *)
-
-(* The sweep's domain budget: one slot per pool domain. A task holds one
-   slot while it runs (its own worker) and may widen its inner branch-and-
-   bound by whatever extra slots are free at solve start. While the pool
-   is saturated every slot is held and solves run single-worker — exactly
-   the serial-solver behaviour; at the sweep tail (and while fewer
-   baselines than domains run) idle domains turn into solver workers for
-   the hard solves that remain. Grants happen at solve start only: a
-   running solve is never widened mid-flight. *)
-let budget_for pool =
-  Option.map (fun p -> Pool.Budget.create ~slots:(Pool.domains p)) pool
-
-let with_budget budget config f =
-  match budget with
-  | None -> f config
-  | Some b ->
-    let c = Option.value config ~default:Optrouter.default_config in
-    let want = c.Optrouter.milp.Optrouter_ilp.Milp.solver_jobs in
-    Pool.Budget.with_width b ~want (fun width ->
-        let milp =
-          { c.Optrouter.milp with Optrouter_ilp.Milp.solver_jobs = width }
-        in
-        f (Some { c with Optrouter.milp }))
+(* [config] with the branch-and-bound width that [Pool.solver_width]
+   gives each of a fan-out of [tasks] solves over [pool]. *)
+let fan_config pool ~tasks config =
+  let milp = config.Optrouter.milp in
+  let solver_jobs =
+    Pool.solver_width pool ~tasks milp.Optrouter_ilp.Milp.solver_jobs
+  in
+  { config with Optrouter.milp = { milp with Optrouter_ilp.Milp.solver_jobs } }
 
 (* A solve that dies (DRC audit failure, numerical trouble escaping the
    solver, ...) is folded into the [Limit] bucket: the sweep survives and
@@ -410,43 +374,46 @@ let baseline_of ~baseline_name clip_name = function
     | Optrouter.Routed base | Optrouter.Near_optimal base ->
       Some (base, baseline.Optrouter.stats.Optrouter.root_basis))
 
-let rule_entries ?config ?pool ?budget ?telemetry ?on_entry ~tech jobs =
+let rule_entries ~config ~pool ?telemetry ?on_entry ~tech jobs =
+  let config = fan_config pool ~tasks:(List.length jobs) config in
   let solve (clip, (base : Route.solution), warm_basis, r) =
     let outcome =
-      with_budget budget config (fun config ->
-          solve_outcome ?config ~seed:base ?warm_basis ~tech ~rules:r clip)
+      solve_outcome ~config ~seed:base ?warm_basis ~tech ~rules:r clip
     in
     ( entry_for ~clip_name:clip.Clip.c_name ~base_metrics:base.Route.metrics r
         outcome,
       outcome )
   in
-  let handle _i (entry, outcome) =
-    warn_failure entry.clip_name entry.rule_name outcome;
-    log_entry entry;
-    match on_entry with Some g -> g entry | None -> ()
+  (* Tasks never raise: a solve's exception is part of its outcome. *)
+  let handle _i = function
+    | Ok (entry, outcome) ->
+      warn_failure entry.clip_name entry.rule_name outcome;
+      log_entry entry;
+      Option.iter (fun g -> g entry) on_entry
+    | Error _ -> ()
   in
-  let results = fan ?pool ~on_done:handle solve jobs in
+  let results = Pool.map pool ~on_done:handle solve jobs in
   (* Telemetry is folded in task order, after collection, so the floats
      sum deterministically no matter how the pool schedules. *)
   List.iter (fun (_, outcome) -> record telemetry outcome) results;
   List.map fst results
 
-let sweep ?config ?pool ?telemetry ?on_entry ?(baseline = Rules.rule 1)
-    ~tech ~rules clips =
+let sweep ?config ?(pool = Pool.create ~domains:1) ?telemetry ?on_entry
+    ?(baseline = Rules.rule 1) ~tech ~rules clips =
+  let config = Option.value config ~default:Optrouter.default_config in
   timed telemetry (fun () ->
       (* Two parallel phases instead of per-clip fan-out: first every
          clip's baseline (RULE1 unless overridden), then the full
          (clip x rule) cross product of the surviving clips — so even a
          handful of clips saturates the pool. Each rule job carries its
          clip's baseline routing as the solver seed. *)
-      let budget = budget_for pool in
-      let bconfig = baseline_config config in
+      let bconfig =
+        fan_config pool ~tasks:(List.length clips)
+          (baseline_config (Some config))
+      in
       let baselines =
-        fan ?pool
-          ~on_done:(fun _ _ -> ())
-          (fun clip ->
-            with_budget budget (Some bconfig) (fun config ->
-                solve_outcome ?config ~tech ~rules:baseline clip))
+        Pool.map pool
+          (fun clip -> solve_outcome ~config:bconfig ~tech ~rules:baseline clip)
           clips
       in
       List.iter (record telemetry) baselines;
@@ -463,7 +430,7 @@ let sweep ?config ?pool ?telemetry ?on_entry ?(baseline = Rules.rule 1)
                  List.map (fun r -> (clip, base, warm, r)) rules)
              clips baselines)
       in
-      rule_entries ?config ?pool ?budget ?telemetry ?on_entry ~tech jobs)
+      rule_entries ~config ~pool ?telemetry ?on_entry ~tech jobs)
 
 (* ------------------------------------------------------------------ *)
 (* Aggregation                                                         *)

@@ -7,25 +7,25 @@
     ({!delta_value}); solver limits are folded into the same bucket (and
     counted separately).
 
-    Every (clip, rule) solve is independent, so the sweep optionally fans
-    out over an {!Optrouter_exec.Pool}: pass [?pool] and the solves run on
-    its worker domains while the entry list stays byte-identical to the
-    serial path. A solve that raises (a DRC audit failure, numerical
-    trouble escaping the solver) is captured per task: the sweep carries
-    on, the entry lands in the [Limit] bucket and the telemetry counts it
-    under [failures].
+    Every (clip, rule) solve is independent, so the sweep fans out over
+    an {!Optrouter_exec.Pool}: pass [?pool] and the solves run on its
+    worker domains while the entry list stays byte-identical to the
+    serial path; a missing pool is the 1-domain pool. A solve that
+    raises (a DRC audit failure, numerical trouble escaping the solver)
+    is captured per task: the sweep carries on, the entry lands in the
+    [Limit] bucket and the telemetry counts it under [failures].
 
-    Scheduling is two-level: the pool fans (clip, rule) tasks across
-    domains, and a per-sweep {!Optrouter_exec.Pool.Budget} of one slot
-    per domain lets solves widen their inner branch-and-bound search
-    ([config.milp.solver_jobs], capped by what is free at solve start).
-    A saturated pool leaves no spare slots, so mid-sweep solves run
-    single-worker exactly as before; the serial RULE1 baseline and the
-    sweep tail — where domains idle — hand their slots to the hard solves
-    that remain. Without a pool, [solver_jobs] is honoured as given.
-    Entries are identical either way: solver parallelism changes node
-    counts and (between alternative optima) the witness routing, never
-    the proved-optimal cost. *)
+    Each of the sweep's two fan-outs (baselines, then rule solves) sets
+    its solves' branch-and-bound width once, by
+    {!Optrouter_exec.Pool.solver_width}: [config.milp.solver_jobs] when
+    the pool runs them one at a time (fewer than two domains, or a
+    single task), else 1. So a serial sweep honours [solver_jobs], and a
+    [-j N] sweep runs N 1-wide solves at a time with the same effort on
+    every run: widening pooled solves into idle domains made all-rule
+    pool sweeps at [-j 2 --solver-jobs 2] 25% slower than at [-j 2] on
+    a 2-core host. Entries are identical either way: solver parallelism
+    changes node counts and (between alternative optima) the witness
+    routing, never the proved-optimal cost. *)
 
 type delta =
   | Delta of int
@@ -163,7 +163,7 @@ val baseline_config :
     disabled ([config] with [seed_reuse = false]) as long as no solver
     limit is hit; only the solve effort differs.
 
-    Solves run in two batches over [pool] when given: all baselines
+    Solves run in two batches over [pool]: all baselines
     (each with the tripled {!baseline_config} budget), then the whole
     (clip x rule) cross product of the surviving clips, so the pool
     stays saturated even when each clip has few rules. The entry list is

@@ -126,16 +126,24 @@ let map_parallel ?on_done t f tasks =
   done;
   Array.to_list (Array.map Option.get slots)
 
+(* A map runs its tasks one at a time when the pool has no workers or
+   there is only one task: a lone task gains nothing from a worker. *)
+let one_at_a_time t ntasks = t.workers = [] || ntasks <= 1
+
 let map_result ?on_done t f xs =
   let tasks = Array.of_list xs in
   if Array.length tasks = 0 then []
-  else if t.workers = [] then map_serial ?on_done f tasks
+  else if one_at_a_time t (Array.length tasks) then map_serial ?on_done f tasks
   else map_parallel ?on_done t f tasks
 
 let map ?on_done t f xs =
   List.map
     (function Ok v -> v | Error e -> raise e)
     (map_result ?on_done t f xs)
+
+(* The one width rule of every fan-out of solves: widen only solves that
+   run one at a time, so a pool's domains are its only parallelism. *)
+let solver_width t ~tasks want = if one_at_a_time t tasks then want else 1
 
 let env_int_jobs name =
   match Sys.getenv_opt name with
@@ -155,46 +163,3 @@ let env_int_jobs name =
 
 let env_jobs () = env_int_jobs "OPTROUTER_JOBS"
 let env_solver_jobs () = env_int_jobs "OPTROUTER_SOLVER_JOBS"
-
-module Budget = struct
-  (* A lock-free counter of spare domain slots. Tasks running on pool
-     workers implicitly own their domain; what the budget tracks is the
-     *extra* width a task may claim for its inner solver. [acquire] is
-     all-or-part-or-nothing on what is available — it never blocks and
-     never over-grants, so the sum of outstanding grants can never exceed
-     [slots]. *)
-  type b = { slots : int Atomic.t; total : int }
-
-  let create ~slots =
-    let slots = max 0 slots in
-    { slots = Atomic.make slots; total = slots }
-
-  let total b = b.total
-  let available b = Atomic.get b.slots
-
-  let rec acquire b want =
-    if want <= 0 then 0
-    else
-      let cur = Atomic.get b.slots in
-      if cur <= 0 then 0
-      else
-        let take = min cur want in
-        if Atomic.compare_and_set b.slots cur (cur - take) then take
-        else acquire b want
-
-  let release b k =
-    if k > 0 then ignore (Atomic.fetch_and_add b.slots k)
-
-  (* The two-level scheduling idiom shared by the sweep engine and the
-     serve daemon: claim one base slot for the task's own worker, widen
-     by up to [want - 1] extra slots only if the base slot was granted
-     (a task that could not even claim its own slot must not fan out),
-     and release everything when [f] returns or raises. [f] receives the
-     granted width (>= 1): the task always runs, at worst single-wide. *)
-  let with_width b ~want f =
-    let base = acquire b 1 in
-    let extra = if base = 1 && want > 1 then acquire b (want - 1) else 0 in
-    Fun.protect
-      ~finally:(fun () -> release b (base + extra))
-      (fun () -> f (1 + extra))
-end

@@ -7,8 +7,10 @@
     byte-identical output regardless of the number of domains.
 
     A pool with fewer than two domains never spawns workers; every [map]
-    then runs serially in the calling domain. This keeps [?pool] plumbing
-    uniform: passing [create ~domains:1] is exactly the serial path.
+    then runs serially in the calling domain, as does any map of a single
+    task. This keeps [?pool] plumbing uniform: passing [create ~domains:1]
+    is exactly the serial path, and callers treat a missing pool as that
+    pool.
 
     The pool is not reentrant: task functions must not call [map] /
     [map_result] on the pool executing them (they would deadlock waiting
@@ -30,9 +32,9 @@ val create : domains:int -> t
 val domains : t -> int
 
 (** [map_result pool f tasks] runs [f] on every task (across the worker
-    domains when the pool is parallel) and returns the outcomes in task
-    order. Each task's exception is captured in its own [Error] slot, so
-    one failed solve never kills the sweep.
+    domains when the pool is parallel and there are several tasks) and
+    returns the outcomes in task order. Each task's exception is captured
+    in its own [Error] slot, so one failed solve never kills the sweep.
 
     [on_done] is invoked in the {e calling} domain — the pool's
     collector — once per completed task, in completion order (which is
@@ -49,6 +51,17 @@ val map_result :
     captured exception in task order propagates after every task has
     finished. Equivalent to [List.map f tasks] up to evaluation order. *)
 val map : ?on_done:(int -> ('b, exn) result -> unit) -> t -> ('a -> 'b) -> 'a list -> 'b list
+
+(** [solver_width pool ~tasks want] is the branch-and-bound width (worker
+    domains per solve) of each of [tasks] solves fanned out over [pool]:
+    [want] when the map runs them one at a time (a pool of fewer than
+    two domains, or a single task), else 1. Every fan-out of solves sets
+    its width once by this rule, so a [-j N] fan-out runs at most N busy
+    domains and its solver effort is the same on every run. Widening
+    pooled solves into whatever domains look idle cost more than it won:
+    on a 2-core host the all-rule sweep of 3,640 solves took 34–36 s that
+    way at [-j 2 --solver-jobs 2] against 27.5–29 s at [-j 2]. *)
+val solver_width : t -> tasks:int -> int -> int
 
 (** Stop the workers and join them. The pool must not be used afterwards;
     [shutdown] is idempotent. *)
@@ -68,42 +81,3 @@ val env_jobs : unit -> int
     environment: the [OPTROUTER_SOLVER_JOBS] variable, with exactly the
     parsing and fallback rules of {!env_jobs}. *)
 val env_solver_jobs : unit -> int
-
-(** A lock-free budget of spare domain slots, the glue of the two-level
-    scheduler: the sweep gives each pool a budget of [domains] slots, a
-    task holds one slot while it runs and may claim up to
-    [solver_jobs - 1] extra slots for its inner branch-and-bound workers.
-    While the pool is saturated every slot is held and solves run
-    single-worker; at the sweep tail the freed slots flow to the solves
-    that start while domains idle — exactly when widening helps. *)
-module Budget : sig
-  type b
-
-  (** [create ~slots] (negative values behave as 0). *)
-  val create : slots:int -> b
-
-  (** The slot count the budget was created with. *)
-  val total : b -> int
-
-  (** Currently unclaimed slots; advisory under concurrency. *)
-  val available : b -> int
-
-  (** [acquire b want] claims up to [want] slots and returns how many it
-      got (0 when none are free or [want <= 0]). Never blocks, never
-      over-grants: the sum of outstanding grants never exceeds the
-      budget. *)
-  val acquire : b -> int -> int
-
-  (** [release b k] returns [k] slots ([k <= 0] is a no-op). Callers must
-      release exactly what they acquired. *)
-  val release : b -> int -> unit
-
-  (** [with_width b ~want f] runs [f width] where [width >= 1] is the
-      solver width granted by the budget: one base slot plus up to
-      [want - 1] extra slots, widened only when the base slot itself was
-      granted. All grants are released when [f] returns or raises. This
-      is the two-level scheduling step shared by the sweep engine and the
-      serve daemon: while every slot is held tasks run single-wide; idle
-      slots turn into extra solver workers. *)
-  val with_width : b -> want:int -> (int -> 'a) -> 'a
-end

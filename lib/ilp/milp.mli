@@ -67,9 +67,10 @@ type params = {
   integrality_tol : float;
   solver_jobs : int;
       (** worker domains for the branch-and-bound search itself (1 =
-          serial, the default). Independent of the sweep-level pool; see
-          {!Optrouter_eval.Sweep} for how the two levels share a machine
-          budget. Values below 1 behave as 1; capped at 128. *)
+          serial, the default). A fan-out of solves over a domain pool
+          overrides it ({!Optrouter_exec.Pool.solver_width}: solves
+          that run side by side are 1-wide). Values below 1 behave as 1;
+          capped at 128. *)
   simplex : Simplex.Params.t;
       (** LP solver parameters (refactorisation policy, …) handed to
           every LP solve; the per-node basis, bounds and deadline fields

@@ -17,7 +17,6 @@ type params = {
   cache_dir : string option;
   cache_capacity : int;
   jobs : int;
-  solver_jobs : int;
   batch_size : int;
   queue_capacity : int;
   time_limit_s : float;
@@ -29,7 +28,6 @@ let default_params =
     cache_dir = None;
     cache_capacity = 512;
     jobs = 1;
-    solver_jobs = 1;
     batch_size = 8;
     queue_capacity = 64;
     time_limit_s = 60.0;
@@ -37,8 +35,7 @@ let default_params =
   }
 
 let make_params ?cache_dir ?(cache_capacity = default_params.cache_capacity)
-    ?(jobs = default_params.jobs) ?(solver_jobs = default_params.solver_jobs)
-    ?(batch_size = default_params.batch_size)
+    ?(jobs = default_params.jobs) ?(batch_size = default_params.batch_size)
     ?(queue_capacity = default_params.queue_capacity)
     ?(time_limit_s = default_params.time_limit_s)
     ?(config = default_params.config) () =
@@ -46,7 +43,6 @@ let make_params ?cache_dir ?(cache_capacity = default_params.cache_capacity)
     cache_dir;
     cache_capacity;
     jobs = max 1 jobs;
-    solver_jobs = max 1 solver_jobs;
     batch_size = max 1 batch_size;
     queue_capacity = max 1 queue_capacity;
     time_limit_s;
@@ -150,8 +146,7 @@ let cacheable ~(config : Optrouter.config) (r : Optrouter.result) =
 type t = {
   params : params;
   cache : Cache.t;
-  pool : Pool.t option;
-  budget : Pool.Budget.b option;
+  pool : Pool.t;
   mutable served : int;
 }
 
@@ -159,15 +154,9 @@ let create params =
   let cache =
     Cache.create ?dir:params.cache_dir ~capacity:params.cache_capacity ()
   in
-  let pool =
-    if params.jobs >= 2 then Some (Pool.create ~domains:params.jobs) else None
-  in
-  let budget =
-    Option.map (fun p -> Pool.Budget.create ~slots:(Pool.domains p)) pool
-  in
-  { params; cache; pool; budget; served = 0 }
+  { params; cache; pool = Pool.create ~domains:params.jobs; served = 0 }
 
-let destroy t = Option.iter Pool.shutdown t.pool
+let destroy t = Pool.shutdown t.pool
 let cache t = t.cache
 
 let config_for t req ~width =
@@ -186,23 +175,13 @@ let config_for t req ~width =
   in
   { c with Optrouter.milp }
 
-(* One budgeted solve, runnable on a pool worker: hold a base slot, widen
-   the branch and bound only into idle slots (two-level scheduling, same
-   contract as the sweep — results are width-independent, so budget
-   grants never change an answer). *)
-let solve t req =
-  let run width =
+let timed_solve t req ~width =
+  let t0 = Unix.gettimeofday () in
+  let result =
     Optrouter.route
       ~config:(config_for t req ~width)
       ~tech:req.tech ~rules:req.rules req.clip
   in
-  match t.budget with
-  | None -> run t.params.solver_jobs
-  | Some b -> Pool.Budget.with_width b ~want:t.params.solver_jobs run
-
-let timed_solve t req =
-  let t0 = Unix.gettimeofday () in
-  let result = solve t req in
   (result, Unix.gettimeofday () -. t0)
 
 (* Answer a batch. Cache lookups and stores stay in the calling domain
@@ -253,17 +232,16 @@ let handle_batch t reqs =
   in
   let job_list = List.rev !jobs in
   let outcomes =
-    let task (key, req) =
-      let result, wall = timed_solve t req in
-      (key, result, wall)
+    (* One branch-and-bound width for every miss of the batch. *)
+    let width =
+      Pool.solver_width t.pool ~tasks:!njobs
+        t.params.config.Optrouter.milp.Milp.solver_jobs
     in
-    match t.pool with
-    | Some pool when List.length job_list > 1 ->
-      Pool.map_result pool task job_list
-    | _ ->
-      List.map
-        (fun job -> try Ok (task job) with exn -> Error exn)
-        job_list
+    Pool.map_result t.pool
+      (fun (key, req) ->
+        let result, wall = timed_solve t req ~width in
+        (key, result, wall))
+      job_list
   in
   (* Store proven results — in this (collector) domain. *)
   let outcomes =

@@ -1,9 +1,11 @@
 (** Routing as a service: the engine behind [optrouter serve].
 
     A daemon accepts clip-route requests over a Unix-domain socket (or
-    TCP), schedules them on the two-level
-    {!Optrouter_exec.Pool}/{!Optrouter_exec.Pool.Budget} engine with
-    request batching and bounded-queue backpressure, enforces
+    TCP), fans each batch's cache misses over a
+    {!Optrouter_exec.Pool} of [jobs] domains with bounded-queue
+    backpressure, sets their branch-and-bound width once per batch
+    ({!Optrouter_exec.Pool.solver_width}: [config.milp.solver_jobs] when
+    the misses run one at a time, else 1), enforces
     per-request deadlines through the solver's wall-clock
     [time_limit_s], and answers repeated traffic from a
     content-addressed {!Cache}.
@@ -49,7 +51,6 @@ type params = {
   cache_dir : string option;  (** on-disk cache tier; [None] = memory only *)
   cache_capacity : int;  (** memory-tier LRU capacity, default 512 *)
   jobs : int;  (** pool worker domains, default 1 (serial) *)
-  solver_jobs : int;  (** max per-solve branch-and-bound width, default 1 *)
   batch_size : int;  (** max requests handed to the pool at once *)
   queue_capacity : int;
       (** pending-request bound: when full, the daemon stops reading
@@ -57,8 +58,9 @@ type params = {
   time_limit_s : float;
       (** server-side cap (and default) for per-request deadlines *)
   config : Optrouter_core.Optrouter.config;
-      (** base routing configuration; per-request deadline and budgeted
-          solver width override its [milp] effort fields *)
+      (** base routing configuration; the per-request deadline and the
+          batch's solver width override its [milp] effort fields, and its
+          [milp.solver_jobs] is the width a solve that runs alone gets *)
 }
 
 val default_params : params
@@ -67,7 +69,6 @@ val make_params :
   ?cache_dir:string ->
   ?cache_capacity:int ->
   ?jobs:int ->
-  ?solver_jobs:int ->
   ?batch_size:int ->
   ?queue_capacity:int ->
   ?time_limit_s:float ->
@@ -115,8 +116,8 @@ val payload_of_result : Optrouter_core.Optrouter.result -> string
 
 type t
 
-(** [create params] builds the engine: cache (+ disk tier), worker pool
-    (when [jobs >= 2]) and solver-width budget. *)
+(** [create params] builds the engine: cache (+ disk tier) and a pool of
+    [jobs] domains (workers only when [jobs >= 2]). *)
 val create : params -> t
 
 (** Release the engine's pool. The engine must not be used afterwards. *)
@@ -125,7 +126,8 @@ val destroy : t -> unit
 val cache : t -> Cache.t
 
 (** [handle t req] answers one request: cache lookup (unless
-    [req.no_cache]), else a budgeted solve; proven results are stored.
+    [req.no_cache]), else a solve at [config.milp.solver_jobs] width;
+    proven results are stored.
     Runs in the calling domain. [Error] carries a solve failure
     message. *)
 val handle : t -> request -> (reply, string) result

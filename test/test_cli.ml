@@ -43,21 +43,28 @@ let with_clips_file f =
   close_out oc;
   Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
 
-(* The bundled samples' [eol-conflict] clip, cut out as CI does: routed
-   under RULE2 it logs 64 maze repair events at debug level. *)
-let with_eol_conflict f =
+(* The named clips of the bundled samples, cut out as CI does. *)
+let with_samples names f =
   let path = Filename.temp_file "optrouter_cli" ".clips" in
+  let script =
+    String.concat ";"
+      (List.map (Printf.sprintf "/^clip %s/,/^endclip/p") names)
+  in
   let code =
     Sys.command
-      (Printf.sprintf "sed -n '/^clip eol-conflict/,/^endclip/p' %s > %s"
+      (Printf.sprintf "sed -n '%s' %s > %s" script
          (Filename.concat ".." (Filename.concat "data" "samples.clips"))
          (Filename.quote path))
   in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Alcotest.(check int) "clip cut out" 0 code;
+      Alcotest.(check int) "clips cut out" 0 code;
       f path)
+
+(* Routed under RULE2, [eol-conflict] logs 64 maze repair events at
+   debug level. *)
+let with_eol_conflict f = with_samples [ "eol-conflict" ] f
 
 (* Rendered diagnostics: the [[src] level: message] lines. *)
 let diagnostics text =
@@ -97,6 +104,21 @@ let test_cli_level_names () =
       Alcotest.(check int) "OPTROUTER_LOG=warning accepted" 0 code;
       Alcotest.(check (list string)) "the env level takes over -v -v" []
         (diagnostics text))
+
+let test_cli_serial_solver_jobs () =
+  (* A serial sweep runs its solves one at a time, so each gets the full
+     --solver-jobs width and the telemetry shows the parallel search. *)
+  with_samples [ "eol-conflict"; "ladder" ] (fun path ->
+      let code, text =
+        run_capture
+          [
+            "sweep"; "-j"; "1"; "--solver-jobs"; "2"; "--time-limit"; "30";
+            path;
+          ]
+      in
+      Alcotest.(check int) "exit 0" 0 code;
+      Alcotest.(check bool) "peak 2 workers" true
+        (contains text "peak 2 workers"))
 
 let test_cli_exists () =
   Alcotest.(check bool) "binary built" true (Sys.file_exists exe)
@@ -212,5 +234,7 @@ let () =
           Alcotest.test_case "-q takes over OPTROUTER_LOG" `Quick
             test_cli_quiet_takes_over_env;
           Alcotest.test_case "level names" `Quick test_cli_level_names;
+          Alcotest.test_case "serial sweep --solver-jobs widens" `Quick
+            test_cli_serial_solver_jobs;
         ] );
     ]

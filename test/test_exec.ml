@@ -108,48 +108,6 @@ let test_env_solver_jobs () =
   Alcotest.(check int) "unparsable means serial" 1 (Pool.env_solver_jobs ());
   Unix.putenv "OPTROUTER_SOLVER_JOBS" "1"
 
-(* ------------------------------------------------------------------ *)
-(* Budget                                                              *)
-(* ------------------------------------------------------------------ *)
-
-let test_budget_basics () =
-  let b = Pool.Budget.create ~slots:3 in
-  Alcotest.(check int) "total" 3 (Pool.Budget.total b);
-  Alcotest.(check int) "all free" 3 (Pool.Budget.available b);
-  Alcotest.(check int) "grants what it has" 2 (Pool.Budget.acquire b 2);
-  Alcotest.(check int) "one left" 1 (Pool.Budget.available b);
-  Alcotest.(check int) "partial grant" 1 (Pool.Budget.acquire b 5);
-  Alcotest.(check int) "exhausted grants zero" 0 (Pool.Budget.acquire b 1);
-  Alcotest.(check int) "zero want is free" 0 (Pool.Budget.acquire b 0);
-  Pool.Budget.release b 3;
-  Alcotest.(check int) "released" 3 (Pool.Budget.available b);
-  Pool.Budget.release b 0;
-  Alcotest.(check int) "zero release is a no-op" 3 (Pool.Budget.available b);
-  let empty = Pool.Budget.create ~slots:(-2) in
-  Alcotest.(check int) "negative slots behave as 0" 0 (Pool.Budget.total empty);
-  Alcotest.(check int) "nothing to grant" 0 (Pool.Budget.acquire empty 1)
-
-let test_budget_concurrent_never_overgrants () =
-  (* Hammer one budget from several domains; the sum of outstanding
-     grants must never exceed the budget, and everything acquired must
-     come back. *)
-  let slots = 4 in
-  let b = Pool.Budget.create ~slots in
-  let overgrant = Atomic.make false in
-  let worker () =
-    for _ = 1 to 500 do
-      let got = Pool.Budget.acquire b 2 in
-      if got > 2 || Pool.Budget.available b > slots then
-        Atomic.set overgrant true;
-      Pool.Budget.release b got
-    done
-  in
-  let domains = List.init 3 (fun _ -> Domain.spawn worker) in
-  worker ();
-  List.iter Domain.join domains;
-  Alcotest.(check bool) "never over-grants" false (Atomic.get overgrant);
-  Alcotest.(check int) "all slots returned" slots (Pool.Budget.available b)
-
 (* [f ()] with Report.Log rendering at [level] into a list, returned
    beside the result as (level, source, message) events; the silent
    library default is restored afterwards. Pool workers may log too, so
@@ -235,7 +193,7 @@ let fast_config =
     ()
 
 (* fast_config with every ILP solve requesting a 2-wide branch-and-bound
-   search (the two-level scheduler's inner level). *)
+   search. *)
 let wide_config =
   Optrouter.make_config
     ~milp:(Milp.make_params ~max_nodes:5_000 ~time_limit_s:20.0 ~solver_jobs:2 ())
@@ -283,9 +241,10 @@ let test_parallel_sweep_deterministic () =
     [ ("exact", fast_config); ("lagrangian", lag_config) ]
 
 let test_sweep_solver_jobs_identity () =
-  (* Two-level scheduling must not change entries: a sweep whose solves
-     request 2-wide branch and bound — serial, and under a pool where
-     the budget throttles the widening — reproduces the 1-wide list. *)
+  (* Solver width must not change entries: a sweep whose solves request
+     2-wide branch and bound reproduces the 1-wide list, serially (every
+     solve 2-wide) and under a 2-domain pool (every solve 1-wide by the
+     width rule). *)
   let serial = serial_entries () in
   let wide_serial =
     List.concat_map
@@ -302,6 +261,30 @@ let test_sweep_solver_jobs_identity () =
       in
       Alcotest.(check (list entry_t)) "2-wide solves under a 2-domain pool"
         serial wide_pooled)
+
+(* The width rule, read from the telemetry: solves that run one at a
+   time get [solver_jobs], with or without a 1-domain pool; solves side
+   by side on a 2-domain pool run 1-wide, so their effort repeats. *)
+let test_sweep_width_rule () =
+  let run pool =
+    let telemetry = ref Sweep.empty_telemetry in
+    ignore
+      (Sweep.sweep ~config:wide_config ?pool ~telemetry ~tech:Tech.n28_12t
+         ~rules:sweep_rules seed_clips);
+    !telemetry
+  in
+  Alcotest.(check int) "no pool: 2 workers" 2 (run None).Sweep.peak_workers;
+  Pool.with_pool ~domains:1 (fun pool ->
+      Alcotest.(check int) "1-domain pool: 2 workers" 2
+        (run (Some pool)).Sweep.peak_workers);
+  Pool.with_pool ~domains:2 (fun pool ->
+      let a = run (Some pool) in
+      let b = run (Some pool) in
+      Alcotest.(check int) "2-domain pool: 1 worker" 1 a.Sweep.peak_workers;
+      Alcotest.(check int) "same nodes on every run" a.Sweep.nodes
+        b.Sweep.nodes;
+      Alcotest.(check int) "same simplex iterations on every run"
+        a.Sweep.simplex_iterations b.Sweep.simplex_iterations)
 
 let test_sweep_telemetry_and_on_entry () =
   Pool.with_pool ~domains:2 (fun pool ->
@@ -376,68 +359,67 @@ let random_clip (cols, rows, seed) =
     (List.init nets net)
 
 (* ------------------------------------------------------------------ *)
-(* Stress: width-4 solves + shared budget + cache traffic              *)
+(* Stress: solves at widths 1-4 + shared cache traffic                 *)
 (* ------------------------------------------------------------------ *)
 
 module Serve = Optrouter_serve.Serve
 module Cache = Optrouter_serve.Cache
 
-(* Four domains race width-governed [Milp] solves through one shared
-   [Pool.Budget] while finding/storing the payloads in one shared
-   [Cache] (capacity 2 over 3 keys, so evictions and disk promotions
-   happen under contention). The determinism contract makes this
-   checkable: whatever width the budget grants and whichever tier
-   answers, every payload must be byte-identical to a serial solve. *)
-let qcheck_width4_cache_stress =
-  QCheck.Test.make ~count:2
-    ~name:"width-4 solves under a shared budget keep cache byte-identity"
+(* Four domains, one per width 1-4, race [Milp] solves while finding and
+   storing the payloads in one shared [Cache] (capacity 2 over 3 keys,
+   so evictions and disk promotions happen under contention). The
+   determinism contract makes this checkable: whatever the width and
+   whichever tier answers, every payload must be byte-identical to a
+   serial solve. *)
+let qcheck_width_cache_stress =
+  QCheck.Test.make ~count:2 ~name:"width 1-4 solves share one cache"
     QCheck.(pair (int_range 3 4) (int_range 0 10_000))
     (fun (cols, seed) ->
       let clip = random_clip (cols, 2, seed) in
-      let reference rules =
+      let payload config rules =
         Serve.payload_of_result
-          (Optrouter.route ~config:fast_config ~tech:Tech.n28_12t ~rules clip)
+          (Optrouter.route ~config ~tech:Tech.n28_12t ~rules clip)
       in
-      let references = List.map reference sweep_rules in
+      let references = List.map (payload fast_config) sweep_rules in
       let dir = Filename.temp_file "optrouter-stress" "" in
       Sys.remove dir;
       Sys.mkdir dir 0o755;
       let cache = Cache.create ~dir ~capacity:2 () in
-      let budget = Pool.Budget.create ~slots:4 in
       let key rules =
         Serve.cache_key ~config:fast_config ~tech:Tech.n28_12t ~rules clip
       in
-      let solve_widened rules =
-        Pool.Budget.with_width budget ~want:4 (fun width ->
-            let config =
-              Optrouter.make_config
-                ~milp:
-                  (Milp.make_params ~max_nodes:5_000 ~time_limit_s:20.0
-                     ~solver_jobs:width ())
-                ()
-            in
-            Serve.payload_of_result
-              (Optrouter.route ~config ~tech:Tech.n28_12t ~rules clip))
-      in
-      let worker () =
+      let worker width () =
+        let config =
+          Optrouter.make_config
+            ~milp:
+              (Milp.make_params ~max_nodes:5_000 ~time_limit_s:20.0
+                 ~solver_jobs:width ())
+            ()
+        in
         List.concat_map
           (fun _ ->
             List.map
               (fun rules ->
                 match Cache.find cache (key rules) with
-                | Some (payload, _) -> payload
+                | Some (p, _) -> p
                 | None ->
-                  let payload = solve_widened rules in
-                  Cache.store cache (key rules) payload;
-                  payload)
+                  let p = payload config rules in
+                  Cache.store cache (key rules) p;
+                  p)
               sweep_rules)
           [ 1; 2 ]
       in
-      let domains = List.init 4 (fun _ -> Domain.spawn worker) in
+      let domains =
+        List.map (fun width -> Domain.spawn (worker width)) [ 1; 2; 3; 4 ]
+      in
       let rounds = List.map Domain.join domains in
+      let disk_errors = (Cache.stats cache).Cache.disk_errors in
+      Array.iter
+        (fun f -> Sys.remove (Filename.concat dir f))
+        (Sys.readdir dir);
+      Sys.rmdir dir;
       let expected = references @ references in
-      Pool.Budget.available budget = Pool.Budget.total budget
-      && (Cache.stats cache).Cache.disk_errors = 0
+      disk_errors = 0
       && List.for_all (fun payloads -> payloads = expected) rounds)
 
 let qcheck_reuse_identity =
@@ -478,24 +460,18 @@ let () =
             test_env_solver_jobs;
           QCheck_alcotest.to_alcotest qcheck_map_equals_list_map;
         ] );
-      ( "budget",
-        [
-          Alcotest.test_case "acquire/release accounting" `Quick
-            test_budget_basics;
-          Alcotest.test_case "concurrent acquire never over-grants" `Quick
-            test_budget_concurrent_never_overgrants;
-        ] );
       ( "parallel sweep",
         [
           Alcotest.test_case "sweep matches serial" `Quick
             test_parallel_sweep_deterministic;
           Alcotest.test_case "solver-jobs sweep matches serial" `Quick
             test_sweep_solver_jobs_identity;
+          Alcotest.test_case "width rule" `Quick test_sweep_width_rule;
           Alcotest.test_case "telemetry and on_entry" `Quick
             test_sweep_telemetry_and_on_entry;
           Alcotest.test_case "reuse on/off identical entries" `Quick
             test_sweep_reuse_identity;
           QCheck_alcotest.to_alcotest qcheck_reuse_identity;
-          QCheck_alcotest.to_alcotest qcheck_width4_cache_stress;
+          QCheck_alcotest.to_alcotest qcheck_width_cache_stress;
         ] );
     ]

@@ -4,7 +4,7 @@
 
 module Lp = Optrouter_ilp.Lp
 module Simplex = Optrouter_ilp.Simplex
-module Dense = Optrouter_ilp.Dense_simplex
+module Dense = Dense_simplex
 module Milp = Optrouter_ilp.Milp
 module Lp_file = Optrouter_ilp.Lp_file
 module Clip = Optrouter_grid.Clip
