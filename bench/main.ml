@@ -66,6 +66,7 @@ module Lp = Optrouter_ilp.Lp
 module Simplex = Optrouter_ilp.Simplex
 module Milp = Optrouter_ilp.Milp
 module Lagrangian = Optrouter_lagrangian.Lagrangian
+module Maze = Optrouter_maze.Maze
 module Pool = Optrouter_exec.Pool
 module Lp_audit = Optrouter_analysis.Lp_audit
 module Clipfile = Optrouter_clipfile.Clipfile
@@ -495,21 +496,30 @@ let section_ablation () =
        ~header:[ "layer directionality"; "WL"; "#vias"; "cost" ]
        [ route_dir false; route_dir true ])
 
+(* The maze routing [Optrouter.route_graph] seeds a cold exact solve
+   with, as its incumbent and its root LP's crash start. *)
+let incumbent_maze_params =
+  { Maze.default_params with Maze.restarts = 10; rip_up_rounds = 8 }
+
 (* Root-LP warm-start study on the hardest bundled clip of each
    technology that the serial solver proves within the time budget (a
    clip whose root relaxation alone eats the budget would only measure
    the time limit). RULE1 and the first few applicable rules are each
    prepared once (Simplex.Instance.create, timed separately) and
-   root-solved cold and, for RULEk, warm-started from the RULE1 optimal
-   basis remapped by name. A mode that hits the root budget is recorded
-   as a [limit] entry, so the record holds the same entries on any host,
-   and takes part in no comparison. The section exits 1 when its record
-   breaks an invariant: a finished warm root reaches the cold status; two
-   optimal roots prove the same objective; every optimal root passes the
-   independent certificate check; every finished warm root keeps its
-   basis ([reused] or [repaired]), and then needs no more iterations than
-   the verified cold one when both verify; every root that pivots
-   records a positive ms per iteration. *)
+   root-solved cold ([devex]); from the crash basis at the bounds of the
+   maze incumbent, encoded as [Milp.solve] receives it ([devex+crash],
+   the start of every cold exact solve); and, for RULEk, warm-started
+   from the RULE1 optimal basis remapped by name ([devex+warm]). A mode
+   that hits the root budget is recorded as a [limit] entry, so the
+   record holds the same entries on any host, and takes part in no
+   comparison. The section exits 1 when its record breaks an invariant:
+   a finished warm or crash root reaches the cold status; two optimal
+   roots prove the same objective; every optimal root passes the
+   independent certificate check; every finished warm or crash root
+   keeps its basis ([reused] or [repaired]); a kept warm basis needs no
+   more iterations than the verified cold root when both verify (a crash
+   root has no such bound: some need more than the cold one); every root
+   that pivots records a positive ms per iteration. *)
 let section_solver () =
   banner "solver: root-LP warm starts";
   let time_limit = env_float "OPTROUTER_BENCH_TIME" 15.0 in
@@ -583,9 +593,25 @@ let section_solver () =
           if !no_basis then None
           else begin
           let g = Graph.build ~tech ~rules:r clip in
-          let lp = Formulate.lp (Formulate.build ~rules:r g) in
+          let form = Formulate.build ~rules:r g in
+          let lp = Formulate.lp form in
           let inst, build_s = wall (fun () -> Simplex.Instance.create lp) in
           let devex_cold = run_mode inst lp "devex" Simplex.Params.default in
+          let devex_crash =
+            let incumbent =
+              Option.bind
+                (Maze.route ~params:incumbent_maze_params ~rules:r g).Maze.solution
+                (Formulate.encode form)
+            in
+            match Option.bind incumbent (Simplex.Basis.of_point lp) with
+            | Some basis ->
+              Some
+                (run_mode inst lp "devex+crash" (Simplex.make_params ~basis ()))
+            | None ->
+              Printf.printf "root-LP study: %s %s %s has no crash start\n"
+                tech.Tech.name clip.Clip.c_name r.Rules.name;
+              None
+          in
           let devex_warm =
             match !rule1_assoc with
             | None -> None
@@ -605,20 +631,22 @@ let section_solver () =
                skipping RULEk warm-start entries\n"
               tech.Tech.name clip.Clip.c_name
           | _ -> ());
-          (* A finished warm root keeps its basis, and then must pay for
-             itself. *)
-          (match devex_warm with
-          | Some (_, Some (warm, _, _)) ->
-            check mismatches
-              (match warm.Simplex.warm with
-              | `Reused | `Repaired -> true
-              | `Cold | `Abandoned -> false)
-              "ROOT-LP WARM ABANDONED: %s %s devex+warm is %s after %d \
-               iterations"
-              clip.Clip.c_name r.Rules.name
-              (warm_name warm.Simplex.warm)
-              warm.Simplex.iterations
-          | Some (_, None) | None -> ());
+          (* A finished warm or crash root keeps its basis, and a warm
+             one then must pay for itself. *)
+          List.iter
+            (function
+              | Some (name, Some ((res : Simplex.result), _, _)) ->
+                check mismatches
+                  (match res.Simplex.warm with
+                  | `Reused | `Repaired -> true
+                  | `Cold | `Abandoned -> false)
+                  "ROOT-LP BASIS ABANDONED: %s %s %s is %s after %d \
+                   iterations"
+                  clip.Clip.c_name r.Rules.name name
+                  (warm_name res.Simplex.warm)
+                  res.Simplex.iterations
+              | Some (_, None) | None -> ())
+            [ devex_warm; devex_crash ];
           (match (devex_cold, devex_warm) with
           | (_, Some (cold, _, true)), Some (_, Some (warm, _, true)) -> (
             match warm.Simplex.warm with
@@ -735,7 +763,9 @@ let section_solver () =
           in
           let cold_field = field ~reference:None devex_cold in
           let mode_fields =
-            cold_field :: Option.to_list (Option.map (field ~reference) devex_warm)
+            cold_field
+            :: List.filter_map (Option.map (field ~reference))
+                 [ devex_warm; devex_crash ]
           in
           Some
             (Report.Json.Obj

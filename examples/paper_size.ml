@@ -5,8 +5,8 @@
    and ILP sizes for several rule configurations (the numbers behind the
    Section 4.2 complexity analysis), and routes the clip heuristically.
    It does not run the exact solve, to stay quick: at this size the
-   default exact [Optrouter.route] takes 3.3-23 s per RULE1 clip on a
-   2-core host (CPLEX needed ~15 minutes per clip in the paper). The
+   exact [Optrouter.route] takes 0.5-6.5 s per RULE1 clip on a 2-core
+   host (CPLEX needed ~15 minutes per clip in the paper). The
    full ILP is also written to a .lp file, to hand to any MILP solver.
 
    Run with: dune exec examples/paper_size.exe *)

@@ -506,17 +506,29 @@ let solve ?(params = default_params) ?initial ?cutoff ?root_basis (lp : Lp.t) =
   let start = now () in
   let integral_obj = objective_is_integral lp in
   let round_bound b = if integral_obj then Float.ceil (b -. 1e-6) else b in
-  let initial_best =
+  let initial =
     match initial with
     | Some x0
       when Array.length x0 = n
            && Lp.is_feasible lp x0
            && Lp.is_integral ~tol:params.integrality_tol lp x0 ->
-      let obj = Lp.objective_value lp x0 in
-      if obj < Option.value cutoff ~default:infinity then
-        Some (obj, Array.copy x0)
-      else None
+      Some x0
     | Some _ | None -> None
+  in
+  let initial_best =
+    Option.bind initial (fun x0 ->
+        let obj = Lp.objective_value lp x0 in
+        if obj < Option.value cutoff ~default:infinity then
+          Some (obj, Array.copy x0)
+        else None)
+  in
+  (* Without a related basis, the root LP starts from the crash basis at
+     the feasible point's bounds: primal feasible by construction, so the
+     primal skips phase 1. *)
+  let crash =
+    match root_basis with
+    | Some _ -> None
+    | None -> Option.bind initial (Simplex.Basis.of_point lp)
   in
   let best_obj0 =
     match initial_best with
@@ -532,7 +544,7 @@ let solve ?(params = default_params) ?initial ?cutoff ?root_basis (lp : Lp.t) =
       deltas = Root;
       depth = 0;
       parent_bound = neg_infinity;
-      warm = root_basis;
+      warm = (match crash with Some _ -> crash | None -> root_basis);
       pc_var = -1;
       pc_up = false;
       pc_frac = 1.0;
@@ -614,7 +626,9 @@ let solve ?(params = default_params) ?initial ?cutoff ?root_basis (lp : Lp.t) =
     let info = sh.root_info in
     Mutex.unlock sh.rmutex;
     match info with
-    | Some (it, flips, warm, b) -> (it, flips, warm, b)
+    | Some (it, flips, warm, b) ->
+      (* a crash root was given no basis to reuse *)
+      (it, flips, (if Option.is_some crash then `Cold else warm), b)
     | None -> (0, 0, `Cold, None)
   in
   {

@@ -42,7 +42,9 @@ type result = {
   root_warm : Simplex.warm;
       (** how the root solve used the [?root_basis] warm start; a basis
           the solve raised on, so that the root was re-solved cold, counts
-          as [`Abandoned] *)
+          as [`Abandoned]. Without [?root_basis] it is [`Cold], also when
+          the root started from the crash basis of [?initial]: counts of
+          reused bases count related solves only. *)
   root_basis : Simplex.basis option;
       (** optimal basis of the root relaxation, for reuse as a
           [?root_basis] on related LPs (remapped via {!Simplex.Basis});
@@ -110,7 +112,14 @@ val make_params :
     point is silently ignored). Providing a good initial solution — e.g.
     from a problem-specific heuristic — lets the very first bound
     comparisons prune, which on routing instances routinely collapses the
-    tree to a handful of nodes.
+    tree to a handful of nodes. Without [root_basis], a valid point also
+    sets the root LP's starting basis: {!Simplex.Basis.of_point} puts
+    every column at the bound the point sits on, a primal feasible start
+    that skips phase 1. A point with a column strictly inside its bounds
+    has no such basis, and the root starts from the all-slack one. The
+    root may then reach another optimal vertex than a start from all
+    slacks: the objective, bound and outcome do not change, the witness
+    [x] may.
 
     [cutoff] is a weaker form: only the objective of a known solution.
     Nodes that cannot beat it are pruned and only strictly better
@@ -120,8 +129,9 @@ val make_params :
     under any [solver_jobs].
 
     [root_basis] warm-starts the root-relaxation solve (typically the
-    remapped optimal basis of a related LP, via {!Simplex.Basis});
-    [result.root_warm] reports whether it was reused.
+    remapped optimal basis of a related LP, via {!Simplex.Basis}), in
+    place of the crash basis of [initial]; [result.root_warm] reports
+    whether it was reused.
 
     Each new incumbent is logged at debug level on the [milp] source of
     {!Optrouter_report.Report.Log}. *)

@@ -969,7 +969,11 @@ module Instance = struct
   let value_of st j =
     if st.vpos.(j) >= 0 then st.xb.(st.vpos.(j)) else nb_value st j
 
-  type dual_outcome = Reoptimised | Certified_infeasible | Gave_up
+  type dual_outcome =
+    | Reoptimised
+    | Certified_infeasible
+    | Not_dual_feasible
+    | Gave_up
 
   (* Certify a dual ray: the leaving variable [jl] cannot reach the bound
      it violates ([below]: its lower bound) at any point of the box. From a
@@ -1031,9 +1035,11 @@ module Instance = struct
      passed flips are applied with one FTRAN before the basis change. A row
      with no candidate, or whose every candidate flips without reaching the
      bound, is a dual ray: [Certified_infeasible] once [certify_ray]
-     confirms it. Anything else that stops the method (a basis that is not
-     dual feasible, a refused ray, a vanishing pivot, the pivot cap)
-     returns [Gave_up], and the caller restarts cold. *)
+     confirms it. A basis that is not dual feasible returns
+     [Not_dual_feasible] before any pivot, with [y] holding its unperturbed
+     duals. Anything else that stops the method (a refused ray, a
+     vanishing pivot, the pivot cap) returns [Gave_up], and the caller
+     restarts cold. *)
   let dual_reoptimize st ~max_pivots =
     let m = st.inst.m and ncols = st.inst.ncols in
     (* One BTRAN computes the duals here; every subsequent pivot updates
@@ -1057,7 +1063,7 @@ module Instance = struct
         true
       with Exit -> false
     in
-    if not (dual_feasible ()) then Gave_up
+    if not (dual_feasible ()) then Not_dual_feasible
     else begin
       (* Basic costs stay unshifted, so the duals just computed stand. *)
       for j = 0 to ncols - 1 do
@@ -1079,27 +1085,61 @@ module Instance = struct
       (* ratio-test candidates: column, breakpoint, alpha, reduced cost *)
       let cj = Array.make ncols 0 and ct = Array.make ncols 0.0 in
       let ca = Array.make ncols 0.0 and cd = Array.make ncols 0.0 in
-      let flips = Array.make ncols 0 in
+      let flips = Array.make ncols 0 and grp = Array.make ncols 0 in
+      (* [vlist.(0 .. vn-1)], marked in [vmark]: every basis position
+         whose value is outside a bound by more than [feas_tol], and
+         perhaps some that have since moved back, which the leaving-row
+         choice drops. [note] lists a position after its value changes;
+         a refactorisation recomputes every value, and [relist] the list. *)
+      let vlist = Array.make m 0 and vmark = Bytes.make m '\000' in
+      let vn = ref 0 in
+      let note pos =
+        if Bytes.unsafe_get vmark pos = '\000' then begin
+          let j = st.basic.(pos) and x = st.xb.(pos) in
+          if st.lo.(j) -. x > feas_tol || x -. st.up.(j) > feas_tol then begin
+            Bytes.unsafe_set vmark pos '\001';
+            vlist.(!vn) <- pos;
+            incr vn
+          end
+        end
+      in
+      let relist () =
+        for a = 0 to !vn - 1 do
+          Bytes.unsafe_set vmark vlist.(a) '\000'
+        done;
+        vn := 0;
+        for pos = 0 to m - 1 do
+          note pos
+        done
+      in
+      relist ();
       let outcome = ref None and pivots = ref 0 in
       while Option.is_none !outcome do
         if !pivots >= max_pivots then outcome := Some Gave_up
         else begin
           incr pivots;
           st.niter <- st.niter + 1;
-          (* leaving variable: the most violated basic *)
+          (* leaving variable: the most violated basic, the lowest position
+             on ties, as an ascending scan of every position finds it *)
           let r = ref (-1) and viol = ref feas_tol and below = ref false in
-          for pos = 0 to m - 1 do
-            let j = st.basic.(pos) in
-            let x = st.xb.(pos) in
-            if st.lo.(j) -. x > !viol then begin
-              r := pos;
-              viol := st.lo.(j) -. x;
-              below := true
+          let a = ref 0 in
+          while !a < !vn do
+            let pos = vlist.(!a) in
+            let j = st.basic.(pos) and x = st.xb.(pos) in
+            let lv = st.lo.(j) -. x and uv = x -. st.up.(j) in
+            if lv > feas_tol || uv > feas_tol then begin
+              let v = if lv > feas_tol then lv else uv in
+              if v > !viol || (v = !viol && pos < !r) then begin
+                r := pos;
+                viol := v;
+                below := lv > feas_tol
+              end;
+              incr a
             end
-            else if x -. st.up.(j) > !viol then begin
-              r := pos;
-              viol := x -. st.up.(j);
-              below := false
+            else begin
+              Bytes.unsafe_set vmark pos '\000';
+              decr vn;
+              vlist.(!a) <- vlist.(!vn)
             end
           done;
           if !r < 0 then outcome := Some Reoptimised
@@ -1143,7 +1183,7 @@ module Instance = struct
               done
             done;
             (* breakpoints of the columns whose admissible movement pushes
-               the leaving value back towards its bound; the sort below
+               the leaving value back towards its bound; the walk below
                orders them whatever order they are found in *)
             let k = ref 0 in
             for t = 0 to !nt - 1 do
@@ -1178,40 +1218,70 @@ module Instance = struct
                 end
               end
             done;
-            let k = !k in
-            let ord = Array.init k Fun.id in
-            Array.sort
-              (fun a b ->
-                match Float.compare ct.(a) ct.(b) with
-                | 0 -> Int.compare cj.(a) cj.(b)
-                | c -> c)
-              ord;
-            (* Walk the tie groups: a group is passed (every member flips)
-               while the remaining infeasibility stays above [feas_tol]
-               after paying |alpha_j| * (u_j - l_j) for each member; an
-               infinite range ends the walk. A group that pays it off
-               exactly leaves round-off (1e-16) behind, and passing it
-               would end the walk on a ray that [certify_ray] refuses. *)
+            (* Walk the tie groups in ascending breakpoint order: a group
+               is passed (every member flips) while the remaining
+               infeasibility stays above [feas_tol] after paying
+               |alpha_j| * (u_j - l_j) for each member; an infinite range
+               ends the walk. A group that pays it off exactly leaves
+               round-off (1e-16) behind, and passing it would end the walk
+               on a ray that [certify_ray] refuses. A group is every
+               remaining candidate within 1e-12 of the least remaining
+               breakpoint, found by one scan and put in (t, column) order
+               by insertion, which is the run a sort of all candidates by
+               (t, column) would give: the walk almost always stops in the
+               first group, so nothing else is ever sorted. A passed group
+               leaves the candidate arrays. *)
             let slope = ref !viol and nflip = ref 0 in
-            let enter = ref (-1) and g = ref 0 in
-            while !enter < 0 && !g < k do
-              let t0 = ct.(ord.(!g)) in
-              let h = ref !g and dec = ref 0.0 and best = ref (-1) in
-              while !h < k && ct.(ord.(!h)) <= t0 +. 1e-12 do
-                let c = ord.(!h) in
+            let enter = ref (-1) and k = ref !k in
+            while !enter < 0 && !k > 0 do
+              let t0 = ref ct.(0) in
+              for c = 1 to !k - 1 do
+                if ct.(c) < !t0 then t0 := ct.(c)
+              done;
+              let lim = !t0 +. 1e-12 in
+              let ng = ref 0 in
+              for c = 0 to !k - 1 do
+                let t = ct.(c) in
+                if t <= lim then begin
+                  let i = ref !ng in
+                  while
+                    !i > 0
+                    &&
+                    let d = grp.(!i - 1) in
+                    ct.(d) > t || (ct.(d) = t && cj.(d) > cj.(c))
+                  do
+                    grp.(!i) <- grp.(!i - 1);
+                    decr i
+                  done;
+                  grp.(!i) <- c;
+                  incr ng
+                end
+              done;
+              let dec = ref 0.0 and best = ref (-1) in
+              for p = 0 to !ng - 1 do
+                let c = grp.(p) in
                 let j = cj.(c) in
                 dec := !dec +. (Float.abs ca.(c) *. (st.up.(j) -. st.lo.(j)));
                 if !best < 0 || Float.abs ca.(c) > Float.abs ca.(!best) then
-                  best := c;
-                incr h
+                  best := c
               done;
               if !slope -. !dec > feas_tol then begin
-                for p = !g to !h - 1 do
-                  flips.(!nflip) <- cj.(ord.(p));
+                for p = 0 to !ng - 1 do
+                  flips.(!nflip) <- cj.(grp.(p));
                   incr nflip
                 done;
                 slope := !slope -. !dec;
-                g := !h
+                let kept = ref 0 in
+                for c = 0 to !k - 1 do
+                  if ct.(c) > lim then begin
+                    cj.(!kept) <- cj.(c);
+                    ct.(!kept) <- ct.(c);
+                    ca.(!kept) <- ca.(c);
+                    cd.(!kept) <- cd.(c);
+                    incr kept
+                  end
+                done;
+                k := !kept
               end
               else enter := !best
             done;
@@ -1241,7 +1311,10 @@ module Instance = struct
                 done;
                 ftran st v;
                 for pos = 0 to m - 1 do
-                  if v.(pos) <> 0.0 then st.xb.(pos) <- st.xb.(pos) -. v.(pos)
+                  if v.(pos) <> 0.0 then begin
+                    st.xb.(pos) <- st.xb.(pos) -. v.(pos);
+                    note pos
+                  end
                 done;
                 st.nflips <- st.nflips + !nflip
               end;
@@ -1263,8 +1336,10 @@ module Instance = struct
                 let entering_value = nb_value st q +. tau in
                 for k = 0 to st.np - 1 do
                   let pos = st.pat.(k) in
-                  if pos <> r && st.w.(pos) <> 0.0 then
-                    st.xb.(pos) <- st.xb.(pos) -. (st.w.(pos) *. tau)
+                  if pos <> r && st.w.(pos) <> 0.0 then begin
+                    st.xb.(pos) <- st.xb.(pos) -. (st.w.(pos) *. tau);
+                    note pos
+                  end
                 done;
                 st.vstat.(jl) <- (if below then At_lower else At_upper);
                 st.vpos.(jl) <- -1;
@@ -1278,6 +1353,7 @@ module Instance = struct
                 st.vpos.(q) <- r;
                 st.basic.(r) <- q;
                 st.xb.(r) <- entering_value;
+                note r;
                 st.pivots_since_refactor <- st.pivots_since_refactor + 1;
                 (* Incremental dual update: the new basis prices q to zero,
                    so y' = y + (d_q / alpha_rq) * rho. Bound flips leave
@@ -1289,7 +1365,8 @@ module Instance = struct
                 done;
                 if should_refactor st then begin
                   refactor st;
-                  compute_duals st ~phase1:false
+                  compute_duals st ~phase1:false;
+                  relist ()
                 end
               end
             end
@@ -1400,9 +1477,12 @@ module Instance = struct
         done;
         st.warm_outcome <- `Reused;
         refactor st;
-        (* Re-optimise with the dual simplex; when it gives up, or the
-           basis factorised with pathological fill-in, the solve restarts
-           from the all-slack basis. *)
+        (* Re-optimise with the dual simplex. A basis that is primal but
+           not dual feasible (a crash at a feasible point's bounds) goes
+           straight to the primal loop below, which starts in phase 2.
+           When the dual gives up, the basis is neither, or it factorised
+           with pathological fill-in, the solve restarts from the
+           all-slack basis. *)
         let abandon () =
           cold_reset st;
           st.warm_outcome <- `Abandoned;
@@ -1412,7 +1492,9 @@ module Instance = struct
         else
           match dual_reoptimize st ~max_pivots:((m / 2) + 200) with
           | Gave_up -> abandon ()
-          | (Reoptimised | Certified_infeasible) as outcome ->
+          | Not_dual_feasible when st.nviol > 0 -> abandon ()
+          | (Reoptimised | Certified_infeasible | Not_dual_feasible) as outcome
+            ->
             if st.repairs > 0 then st.warm_outcome <- `Repaired;
             outcome = Certified_infeasible)
       | None ->
@@ -1638,6 +1720,27 @@ module Basis = struct
         end)
       vstat;
     (({ vstat; basic } : basis), if !patched then `Patched else `Exact)
+
+  (* The crash basis of a point: every slack basic, so the factorisation
+     is the identity and the slacks absorb the row activities; each
+     structural column nonbasic at the bound the point sits on. *)
+  let of_point (lp : Lp.t) x =
+    let n = Lp.nvars lp and m = Lp.nrows lp in
+    if Array.length x <> n then
+      invalid_arg "Simplex.Basis.of_point: point does not match the LP shape";
+    if
+      Array.for_all2
+        (fun (v : Lp.var) xj -> xj = v.lower || xj = v.upper)
+        lp.vars x
+    then
+      let vstat =
+        Array.init (n + m) (fun j ->
+            if j >= n then Basic
+            else if x.(j) = lp.vars.(j).Lp.lower then At_lower
+            else At_upper)
+      in
+      Some { vstat; basic = Array.init m (fun r -> n + r) }
+    else None
 
   let to_string (lp : Lp.t) (b : basis) =
     let n = Lp.nvars lp and m = Lp.nrows lp in

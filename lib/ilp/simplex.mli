@@ -19,7 +19,10 @@
     [B^-T e_r] in ascending row order, so each column adds the nonzero
     terms of its column-wise dot product in the same order. The phase
     test reads a maintained count of basics outside a bound by more than
-    the feasibility tolerance.
+    the feasibility tolerance; the dual's leaving-row choice reads a
+    maintained list of them, and its ratio test puts in order only the
+    breakpoint tie groups it examines, each the run a full sort would
+    give.
 
     Rows are turned into equalities with one (bounded) logical slack per
     row, so the initial all-slack basis always exists; primal
@@ -28,21 +31,28 @@
     variables).
 
     A supplied basis (what {!Milp} passes between branch-and-bound nodes,
-    and what {!Basis} carries across structurally different LPs via
-    name-keyed remapping) is factorised and re-optimised by a bounded dual
-    simplex. On entry each nonbasic column's cost is shifted by a
-    deterministic epsilon in its dual-feasible direction, against dual
-    degeneracy; the primal loop withdraws the shift before any optimality
-    claim. Its ratio test is the long-step (bound-flipping) one: it passes
-    the breakpoints of boxed columns while the leaving row's infeasibility
-    pays for flipping them, and applies all the flips with one FTRAN
-    before the basis change. A leaving row that no column can bring back
-    to its bound is a dual ray: the solve returns [Infeasible] once a
-    Farkas-style bound of that row over the box of every nonbasic column,
-    taken from a fresh factorisation, misses the bound by more than 1e-6.
-    A basis that is not dual feasible, a ray that bound refuses, a
-    vanishing pivot or [m/2 + 200] dual pivots without primal feasibility
-    abandon the basis, and the solve restarts from the all-slack basis.
+    what {!Basis} carries across structurally different LPs via name-keyed
+    remapping, and the crash basis {!Basis.of_point} builds at a feasible
+    point) is factorised, and then:
+    - when it is dual feasible, re-optimised by a bounded dual simplex.
+      On entry each nonbasic column's cost is shifted by a deterministic
+      epsilon in its dual-feasible direction, against dual degeneracy;
+      the primal loop withdraws the shift before any optimality claim.
+      Its ratio test is the long-step (bound-flipping) one: it passes the
+      breakpoints of boxed columns while the leaving row's infeasibility
+      pays for flipping them, and applies all the flips with one FTRAN
+      before the basis change. A leaving row that no column can bring
+      back to its bound is a dual ray: the solve returns [Infeasible]
+      once a Farkas-style bound of that row over the box of every
+      nonbasic column, taken from a fresh factorisation, misses the bound
+      by more than 1e-6;
+    - when it is primal but not dual feasible, kept, and the primal runs
+      from it, with no phase 1 to do;
+    - when it is neither, abandoned.
+    A ray that bound refuses, a vanishing pivot or [m/2 + 200] dual
+    pivots without primal feasibility abandon the basis too. An abandoned
+    basis is thrown away, and the solve restarts from the all-slack
+    basis.
 
     Pricing is devex over a partial candidate scan (reference weights
     updated per pivot, wrap-around chunked scan). After a long degenerate
@@ -71,12 +81,13 @@ type basis = { vstat : vstat array; basic : int array }
 type status = Optimal | Infeasible | Unbounded
 
 (** How a supplied starting basis was used: [`Cold] — none supplied;
-    [`Reused] — factorised exactly as given and re-optimised from;
+    [`Reused] — factorised exactly as given and re-optimised from (by the
+    dual when it is dual feasible, else by the primal);
     [`Repaired] — the same after substituting logical slacks for singular
     columns; [`Abandoned] — supplied, but thrown away for a restart from
     the all-slack basis (fill-in past [30m + 5000] eta nonzeros, a basis
-    that is not dual feasible, a refused dual ray, a vanishing dual pivot
-    or the dual pivot cap). *)
+    that is neither primal nor dual feasible, a refused dual ray, a
+    vanishing dual pivot or the dual pivot cap). *)
 type warm = [ `Cold | `Reused | `Repaired | `Abandoned ]
 
 type result = {
@@ -188,6 +199,16 @@ module Basis : sig
       repairs that during factorisation. *)
   val of_assoc :
     Lp.t -> (string * vstat) list -> basis * [ `Exact | `Patched ]
+
+  (** [of_point lp x] is the crash basis of the point [x] (one value per
+      structural variable): every logical slack basic, and every
+      structural column nonbasic at the bound [x] sits on (exactly equal
+      to it; the lower one when both are). At a feasible point the slacks
+      absorb the row activities, so the basis is primal feasible, and its
+      factorisation is the identity. [None] when a column sits anywhere
+      but on one of its bounds. Raises [Invalid_argument] if [x] does not
+      have one entry per variable. *)
+  val of_point : Lp.t -> float array -> basis option
 
   (** Textual round-trip used by the [--warm-basis]/[--basis-out] CLI
       path: a [# optrouter basis v1] header, then one [v NAME S] line per

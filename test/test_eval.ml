@@ -164,10 +164,10 @@ let test_samples_sweep_pins () =
   let t = !telemetry in
   Alcotest.(check int) "entries" 39 (List.length entries);
   Alcotest.(check int) "limits" 0 t.Sweep.limits;
-  Alcotest.(check int) "B&B nodes" 190 t.Sweep.nodes;
-  Alcotest.(check int) "simplex iterations" 14_162 t.Sweep.simplex_iterations;
-  Alcotest.(check int) "root-LP iterations" 2_229 t.Sweep.root_lp_iters;
-  Alcotest.(check int) "bound flips" 16 t.Sweep.bound_flips
+  Alcotest.(check int) "B&B nodes" 226 t.Sweep.nodes;
+  Alcotest.(check int) "simplex iterations" 25_221 t.Sweep.simplex_iterations;
+  Alcotest.(check int) "root-LP iterations" 3_618 t.Sweep.root_lp_iters;
+  Alcotest.(check int) "bound flips" 74 t.Sweep.bound_flips
 
 let test_baseline_config_default_budget () =
   (* Regression: with no explicit config the baseline must still triple

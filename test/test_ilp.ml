@@ -295,11 +295,10 @@ let test_simplex_warm_start () =
     | `Reused | `Repaired -> true
     | `Cold | `Abandoned -> false)
 
-let test_simplex_warm_start_abandoned () =
-  (* The optimal basis for cost c is not dual feasible for cost -c, so the
-     dual re-optimisation refuses it and the solve restarts from the
-     all-slack basis: reported as abandoned, never as a cold solve that
-     was given no basis. *)
+(* The optimal basis for cost c is primal feasible but not dual feasible
+   for cost -c: the solve keeps it and runs the primal from it, and agrees
+   with a cold solve. *)
+let test_simplex_warm_start_primal_feasible () =
   let vars sign =
     [
       cont "x" 0.0 3.0 (sign *. -1.0);
@@ -322,12 +321,74 @@ let test_simplex_warm_start_abandoned () =
   in
   let cold = Simplex.solve lp in
   Alcotest.(check bool)
+    "reused" true
+    (match warm.warm with
+    | `Reused -> true
+    | `Cold | `Repaired | `Abandoned -> false);
+  Alcotest.(check bool) "same status" true (warm.status = cold.status);
+  check_float "same objective" cold.objective warm.objective;
+  Alcotest.(check bool)
+    "certified" true
+    (Simplex.verify_optimal lp warm = Ok ())
+
+(* A basis that is neither primal nor dual feasible (every column at its
+   upper bound overfills [cap], and x at its upper bound has a positive
+   cost) is thrown away: the solve restarts from the all-slack basis and
+   reports it as abandoned, never as a cold solve that was given no
+   basis. *)
+let test_simplex_warm_start_abandoned () =
+  let lp =
+    build
+      [ cont "x" 0.0 3.0 1.0; cont "y" 0.0 3.0 2.0; cont "z" 0.0 3.0 (-1.0) ]
+      [
+        ("cap", [ (0, 1.0); (1, 1.0); (2, 1.0) ], Lp.Le, 4.0);
+        ("mix", [ (0, 1.0); (1, -1.0) ], Lp.Ge, -2.0);
+      ]
+  in
+  let basis = Option.get (Simplex.Basis.of_point lp [| 3.0; 3.0; 3.0 |]) in
+  let warm =
+    Simplex.Instance.solve
+      ~params:(Simplex.make_params ~basis ())
+      (Simplex.Instance.create lp)
+  in
+  let cold = Simplex.solve lp in
+  Alcotest.(check bool)
     "abandoned" true
     (match warm.warm with
     | `Abandoned -> true
     | `Cold | `Reused | `Repaired -> false);
   Alcotest.(check bool) "same status" true (warm.status = cold.status);
   check_float "same objective" cold.objective warm.objective
+
+(* The crash basis of a point: slacks basic, each structural column at the
+   bound the point sits on; none for a point strictly inside a bound. *)
+let test_basis_of_point () =
+  let lp =
+    build
+      [ cont "x" 0.0 3.0 1.0; cont "y" 1.0 1.0 2.0; cont "z" (-2.0) 3.0 0.0 ]
+      [ ("cap", [ (0, 1.0); (1, 1.0); (2, 1.0) ], Lp.Le, 4.0) ]
+  in
+  (match Simplex.Basis.of_point lp [| 3.0; 1.0; -2.0 |] with
+  | None -> Alcotest.fail "a point on its bounds has a crash basis"
+  | Some b ->
+    Alcotest.(check bool)
+      "statuses" true
+      (b.vstat = [| Simplex.At_upper; At_lower; At_lower; Basic |]);
+    Alcotest.(check (array int)) "the slack is basic" [| 3 |] b.basic;
+    let r =
+      Simplex.Instance.solve
+        ~params:(Simplex.make_params ~basis:b ())
+        (Simplex.Instance.create lp)
+    in
+    Alcotest.(check bool)
+      "kept" true
+      (match r.warm with
+      | `Reused -> true
+      | `Cold | `Repaired | `Abandoned -> false);
+    check_float "objective" 2.0 r.objective);
+  Alcotest.(check bool)
+    "interior point" true
+    (Simplex.Basis.of_point lp [| 1.5; 1.0; -2.0 |] = None)
 
 let test_simplex_warm_start_changed_bounds () =
   let lp =
@@ -842,19 +903,36 @@ let random_binary_milp_gen =
     rows;
   return (Lp.Builder.finish b)
 
+(* The feasible 0/1 point of least mask, if any: a valid incumbent that
+   is seldom optimal. *)
+let first_binary_point (lp : Lp.t) =
+  let n = Lp.nvars lp in
+  let point mask =
+    Array.init n (fun j -> if mask land (1 lsl j) <> 0 then 1.0 else 0.0)
+  in
+  Seq.find (Lp.is_feasible lp) (Seq.map point (Seq.init (1 lsl n) Fun.id))
+
+(* Each instance is solved without and with a feasible initial point,
+   which also crashes the root LP at that point's bounds. *)
 let prop_milp_matches_enumeration =
   QCheck.Test.make ~name:"milp agrees with exhaustive binary enumeration"
     ~count:300
     (QCheck.make ~print:(Format.asprintf "%a" Lp.pp) random_binary_milp_gen)
     (fun lp ->
-      let res = Milp.solve lp in
-      match (res.outcome, enumerate_binary_optimum lp) with
-      | Milp.Proved_optimal, Some best ->
-        Float.abs (res.objective -. best) <= 1e-6
-        && Lp.is_integral lp res.x
-        && Lp.is_feasible lp res.x
-      | Milp.Infeasible, None -> true
-      | _, _ -> false)
+      let agrees (res : Milp.result) =
+        match (res.outcome, enumerate_binary_optimum lp) with
+        | Milp.Proved_optimal, Some best ->
+          Float.abs (res.objective -. best) <= 1e-6
+          && Lp.is_integral lp res.x
+          && Lp.is_feasible lp res.x
+        | Milp.Infeasible, None -> true
+        | _, _ -> false
+      in
+      agrees (Milp.solve lp)
+      &&
+      match first_binary_point lp with
+      | None -> true
+      | Some x0 -> agrees (Milp.solve ~initial:x0 lp))
 
 let test_milp_initial_incumbent () =
   (* A valid initial point prunes immediately when the bound matches. *)
@@ -866,6 +944,50 @@ let test_milp_initial_incumbent () =
   let res = Milp.solve ~initial:[| 1.0; 1.0; 0.0 |] lp in
   Alcotest.(check bool) "optimal" true (res.outcome = Milp.Proved_optimal);
   check_float "objective" (-16.0) res.objective
+
+let test_milp_initial_crash_root () =
+  (* A 0/1 initial point also crashes the root LP: the root starts from
+     that point's bounds, is still reported cold (it was given no basis),
+     and proves the objective a solve without the point proves. *)
+  let lp =
+    build
+      [ bin "a" (-10.0); bin "b" (-6.0); bin "c" (-4.0); bin "d" 3.0 ]
+      [
+        ("cap", [ (0, 1.0); (1, 1.0); (2, 1.0) ], Lp.Le, 2.0);
+        ("link", [ (0, 1.0); (3, -1.0) ], Lp.Le, 0.5);
+      ]
+  in
+  let plain = Milp.solve lp in
+  let crash = Milp.solve ~initial:[| 0.0; 1.0; 0.0; 0.0 |] lp in
+  Alcotest.(check bool)
+    "optimal" true
+    (crash.outcome = Milp.Proved_optimal && plain.outcome = Milp.Proved_optimal);
+  check_float "same objective" plain.objective crash.objective;
+  Alcotest.(check bool)
+    "crash root reported cold" true
+    (match crash.root_warm with
+    | `Cold -> true
+    | `Reused | `Repaired | `Abandoned -> false);
+  (* An integer column strictly inside its bounds has no bound to crash
+     at: the root LP runs exactly as without the point. *)
+  let lp =
+    build
+      [ bin "a" (-10.0); ("k", 0.0, 3.0, 1.0, Lp.Integer); bin "b" (-2.0) ]
+      [
+        ("need", [ (0, 2.0); (1, -1.0) ], Lp.Le, 0.0);
+        ("cap", [ (0, 1.0); (2, 1.0) ], Lp.Le, 1.5);
+      ]
+  in
+  let plain = Milp.solve lp in
+  let inside = Milp.solve ~initial:[| 1.0; 2.0; 0.0 |] lp in
+  check_float "same objective" plain.objective inside.objective;
+  Alcotest.(check int)
+    "same root iterations" plain.root_lp_iters inside.root_lp_iters;
+  Alcotest.(check bool)
+    "cold root" true
+    (match inside.root_warm with
+    | `Cold -> true
+    | `Reused | `Repaired | `Abandoned -> false)
 
 let test_milp_initial_invalid_ignored () =
   (* An infeasible initial point must not corrupt the search. *)
@@ -1505,7 +1627,11 @@ let () =
           Alcotest.test_case "degenerate constraints" `Quick
             test_simplex_degenerate;
           Alcotest.test_case "warm start" `Quick test_simplex_warm_start;
-          Alcotest.test_case "warm start abandons a dual-infeasible basis"
+          Alcotest.test_case "warm start keeps a primal-feasible basis" `Quick
+            test_simplex_warm_start_primal_feasible;
+          Alcotest.test_case
+            "warm start abandons a dual-infeasible basis that is primal \
+             infeasible"
             `Quick test_simplex_warm_start_abandoned;
           Alcotest.test_case "warm start with changed bounds" `Quick
             test_simplex_warm_start_changed_bounds;
@@ -1553,6 +1679,7 @@ let () =
             test_basis_of_string_rejects_garbage;
           Alcotest.test_case "cross-LP basis remap warm start" `Quick
             test_basis_cross_lp_remap;
+          Alcotest.test_case "crash basis of a point" `Quick test_basis_of_point;
         ] );
       ( "milp",
         [
@@ -1574,6 +1701,8 @@ let () =
           Alcotest.test_case "initial incumbent" `Quick test_milp_initial_incumbent;
           Alcotest.test_case "invalid initial ignored" `Quick
             test_milp_initial_invalid_ignored;
+          Alcotest.test_case "initial point crashes the root" `Quick
+            test_milp_initial_crash_root;
           Alcotest.test_case "cutoff confirms external optimum" `Quick
             test_milp_cutoff_confirms_external_optimum;
           Alcotest.test_case "cutoff improved by search" `Quick
